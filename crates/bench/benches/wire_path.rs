@@ -11,7 +11,7 @@
 use std::time::{Duration, Instant};
 
 use armci_core::msg::{Req, ReqView};
-use armci_core::{run_cluster, run_cluster_net_loopback, run_cluster_spawned, ArmciCfg, GlobalAddr, IoDriver};
+use armci_core::{run_cluster, run_cluster_net_loopback, run_cluster_spawned, ArmciCfg, GlobalAddr};
 use armci_transport::{LatencyModel, ProcId, SegId};
 use criterion::{black_box, BenchmarkGroup, Criterion};
 
@@ -53,31 +53,42 @@ fn cluster_put_round(iters: u64, payload: usize) -> Duration {
 }
 
 /// End-to-end rounds over the netfab loopback backend — real TCP frames
-/// moved by the selected IO driver — each round one 8 B `put_u64` plus a
-/// fence. Run under both drivers, this is the head-to-head for the
-/// event-loop migration: the loop must keep small-message round-trip
-/// latency flat (or better) while cutting the thread count.
-fn net_put_round(iters: u64, driver: IoDriver) -> Duration {
-    let cfg = ArmciCfg::flat(2, LatencyModel::zero()).with_io_driver(Some(driver));
+/// — each round `puts` held 8 B `put`s (zero for a `put_u64`, which is
+/// sent at once) plus a fence. Returns the time and rank 0's wire frames
+/// per `write(2)` over the timed rounds: the fence request carries the
+/// held puts ahead of it, so a burst of puts costs one system call.
+fn net_put_round(iters: u64, puts: usize) -> (Duration, f64) {
+    let cfg = ArmciCfg::flat(2, LatencyModel::zero());
     let out = run_cluster_net_loopback(cfg, move |a| {
         let seg = a.malloc(64);
         let dst = GlobalAddr::new(ProcId(1), seg, 0);
-        a.barrier();
-        let mut total = Duration::ZERO;
-        if a.rank() == 0 {
-            for i in 0..32u64 {
+        let round = |a: &mut armci_core::Armci, i: u64| {
+            if puts == 0 {
                 a.put_u64(dst, i);
+            }
+            for k in 0..puts {
+                a.put(GlobalAddr::new(ProcId(1), seg, 8 * k), &i.to_le_bytes());
             }
             a.fence(ProcId(1));
+        };
+        a.barrier();
+        let mut res = (Duration::ZERO, 0.0);
+        if a.rank() == 0 {
+            for i in 0..32u64 {
+                round(a, i);
+            }
+            let before = a.stats();
             let t0 = Instant::now();
             for i in 0..iters {
-                a.put_u64(dst, i);
-                a.fence(ProcId(1));
+                round(a, i);
             }
-            total = t0.elapsed();
+            res.0 = t0.elapsed();
+            let after = a.stats();
+            res.1 =
+                (after.wire_msgs - before.wire_msgs) as f64 / (after.wire_writes - before.wire_writes).max(1) as f64;
         }
         a.barrier();
-        total
+        res
     });
     out[0]
 }
@@ -201,6 +212,8 @@ struct Rec {
     name: &'static str,
     bytes: u64,
     ns_per_op: f64,
+    /// Wire frames per `write(2)` (network rounds only).
+    frames_per_write: Option<f64>,
 }
 
 fn bench_into(
@@ -213,10 +226,32 @@ fn bench_into(
     g.bench_function(name, |b| {
         b.iter_custom(|iters| {
             let d = f(iters);
-            recs.push(Rec { name, bytes, ns_per_op: d.as_nanos() as f64 / iters as f64 });
+            recs.push(Rec { name, bytes, ns_per_op: d.as_nanos() as f64 / iters as f64, frames_per_write: None });
             d
         })
     });
+}
+
+/// [`bench_into`] for a network round that also reports its frames per
+/// `write(2)`, printed and recorded with the last sample.
+fn bench_net_into(
+    g: &mut BenchmarkGroup<'_>,
+    recs: &mut Vec<Rec>,
+    name: &'static str,
+    bytes: u64,
+    f: impl Fn(u64) -> (Duration, f64),
+) {
+    g.bench_function(name, |b| {
+        b.iter_custom(|iters| {
+            let (d, fpw) = f(iters);
+            let ns_per_op = d.as_nanos() as f64 / iters as f64;
+            recs.push(Rec { name, bytes, ns_per_op, frames_per_write: Some(fpw) });
+            d
+        })
+    });
+    if let Some(r) = recs.last() {
+        println!("{name}: {:.2} wire frames per write(2)", r.frames_per_write.unwrap_or(0.0));
+    }
 }
 
 fn main() {
@@ -240,12 +275,8 @@ fn main() {
         bench_into(&mut g, &mut recs, "small_put_round", 8, |iters| cluster_put_round(iters, 8));
         bench_into(&mut g, &mut recs, "put_64k_round", 64 * 1024, |iters| cluster_put_round(iters, 64 * 1024));
         g.sample_size(200);
-        bench_into(&mut g, &mut recs, "net_small_put_round_threaded", 8, |iters| {
-            net_put_round(iters, IoDriver::Threaded)
-        });
-        bench_into(&mut g, &mut recs, "net_small_put_round_event_loop", 8, |iters| {
-            net_put_round(iters, IoDriver::EventLoop)
-        });
+        bench_net_into(&mut g, &mut recs, "net_small_put_round", 8, |iters| net_put_round(iters, 0));
+        bench_net_into(&mut g, &mut recs, "net_put_burst4_round", 32, |iters| net_put_round(iters, 4));
         // Cross-process rounds spawn a real second OS process per sample:
         // keep the sample count low, the per-round numbers are stable.
         g.sample_size(10);
@@ -266,11 +297,15 @@ fn main() {
         g.finish();
     }
 
-    let mut json = String::from("{\n  \"bench\": \"wire_path\",\n  \"unit\": \"ns_per_op\",\n  \"results\": [\n");
+    let cpus = std::thread::available_parallelism().map_or(0, usize::from);
+    let mut json = format!(
+        "{{\n  \"bench\": \"wire_path\",\n  \"unit\": \"ns_per_op\",\n  \"host\": {{\"cpus\": {cpus}}},\n  \"results\": [\n"
+    );
     for (i, r) in recs.iter().enumerate() {
         let sep = if i + 1 == recs.len() { "" } else { "," };
+        let fpw = r.frames_per_write.map_or(String::new(), |f| format!(", \"frames_per_write\": {f:.2}"));
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"bytes\": {}, \"ns_per_op\": {:.1}}}{}\n",
+            "    {{\"name\": \"{}\", \"bytes\": {}, \"ns_per_op\": {:.1}{fpw}}}{}\n",
             r.name, r.bytes, r.ns_per_op, sep
         ));
     }

@@ -199,6 +199,7 @@ impl Armci {
         let w = self.mb.wire_counters();
         s.wire_msgs = w.msgs;
         s.wire_bytes = w.bytes;
+        s.wire_writes = w.writes;
         s
     }
 
@@ -318,7 +319,8 @@ impl Armci {
     /// API funnels through here: waits happen in short slices
     /// (`detect_slice`) so a peer death surfaces promptly, and delivered
     /// data always wins over a concurrently-detected loss (the slice is
-    /// drained before the peer state is consulted).
+    /// drained before the peer state is consulted). The mailbox receive
+    /// first sends any put data the transport still holds.
     pub(crate) fn recv_wait(
         &mut self,
         op: &'static str,
@@ -352,24 +354,49 @@ impl Armci {
     /// Spin on a local (shared-memory) condition, giving up at `deadline`
     /// or when a peer is known dead — the fallible counterpart of the
     /// `spin_until*` helpers, for waits whose progress depends on a remote
-    /// process eventually writing into local memory.
+    /// process eventually writing into local memory. Every memory-word
+    /// wait funnels through here, and it first sends any put data the
+    /// transport still holds ([`Mailbox::flush`]).
+    ///
+    /// `producers` narrows which losses end the wait: `None` gives up on
+    /// any dead peer; `Some(ranks)` under [`OnPeerLoss::Degrade`] folds
+    /// confirmed losses into membership and gives up only once one of
+    /// `ranks` is dead (a notify slot's producer set).
     pub(crate) fn wait_local_cond(
         &mut self,
         op: &'static str,
         deadline: Instant,
         mut cond: impl FnMut() -> bool,
+        producers: Option<&[usize]>,
     ) -> Result<(), ArmciError> {
+        self.mb.flush();
         loop {
             let until = deadline.min(Instant::now() + self.detect_slice);
             if spin_until_deadline(&mut cond, until) {
                 return Ok(());
             }
-            if let Some((peer, epoch)) = self.lost_peer() {
-                return Err(ArmciError::PeerLost { peer, epoch });
+            if let Some(e) = self.loss_ending_wait(producers) {
+                return Err(e);
             }
             if Instant::now() >= deadline {
                 return Err(ArmciError::Timeout { op });
             }
+        }
+    }
+
+    /// The peer loss that ends a local wait, if any (see
+    /// [`Armci::wait_local_cond`]).
+    fn loss_ending_wait(&mut self, producers: Option<&[usize]>) -> Option<ArmciError> {
+        match producers {
+            Some(ranks) if self.on_peer_loss == OnPeerLoss::Degrade => {
+                for node in self.mb.lost_peers() {
+                    self.observe_loss(node);
+                }
+                let dead = *ranks.iter().find(|&&r| !self.membership.is_alive(r))?;
+                let peer = self.topology().node_of(ProcId(dead as u32));
+                Some(ArmciError::PeerLost { peer, epoch: self.membership.epoch() })
+            }
+            _ => self.lost_peer().map(|(peer, epoch)| ArmciError::PeerLost { peer, epoch }),
         }
     }
 
@@ -404,6 +431,20 @@ impl Armci {
 
     pub(crate) fn send_req_to(&mut self, agent: Endpoint, req: &Req) {
         self.send_req_framed(agent, |buf| req.encode_into(buf));
+    }
+
+    /// Send counted one-sided data (a put or accumulate framed by
+    /// `frame`) to `dst`'s server and record it for the next fence. The
+    /// transport may hold the message until this process's next send or
+    /// wait ([`Mailbox::send_held`]): it completes only at a fence or
+    /// barrier, which sends or waits first, so a burst of puts leaves in
+    /// one write.
+    fn send_counted_put(&mut self, dst: ProcId, frame: impl FnOnce(&mut Vec<u8>)) {
+        let node = self.server_of(dst);
+        self.stats.server_msgs += 1;
+        let body = self.encode_pool.with_buf(frame);
+        self.mb.send_held(Endpoint::Server(node), TAG_REQ, body);
+        self.note_counted_put(dst);
     }
 
     /// Record bookkeeping for a counted put sent to `dst`'s node, via the
@@ -485,13 +526,9 @@ impl Armci {
             s.write_bytes(dst.offset, data);
             self.stats.shm_puts += 1;
         } else {
-            let node = self.server_of(dst.proc);
             // Frame the user's slice straight into a pooled buffer: no
             // intermediate `data.to_vec()`, no per-request body allocation.
-            self.send_req_framed(Endpoint::Server(node), |buf| {
-                enc::put(buf, dst.proc, dst.seg, dst.offset as u64, data)
-            });
-            self.note_counted_put(dst.proc);
+            self.send_counted_put(dst.proc, |buf| enc::put(buf, dst.proc, dst.seg, dst.offset as u64, data));
         }
     }
 
@@ -590,9 +627,7 @@ impl Armci {
                 s.write_bytes(off, &data[row * desc.row_bytes..(row + 1) * desc.row_bytes]);
             }
         } else {
-            let node = self.server_of(dst);
-            self.send_req_framed(Endpoint::Server(node), |buf| enc::put_strided(buf, dst, seg, &desc, data));
-            self.note_counted_put(dst);
+            self.send_counted_put(dst, |buf| enc::put_strided(buf, dst, seg, &desc, data));
         }
     }
 
@@ -620,9 +655,7 @@ impl Armci {
                 pos += len as usize;
             }
         } else {
-            let node = self.server_of(dst);
-            self.send_req_framed(Endpoint::Server(node), |buf| enc::put_vector(buf, dst, seg, runs, data));
-            self.note_counted_put(dst);
+            self.send_counted_put(dst, |buf| enc::put_vector(buf, dst, seg, runs, data));
         }
     }
 
@@ -730,11 +763,7 @@ impl Armci {
                 s.fetch_add_f64(dst.offset + 8 * i, scale * v);
             }
         } else {
-            let node = self.server_of(dst.proc);
-            self.send_req_framed(Endpoint::Server(node), |buf| {
-                enc::acc_f64(buf, dst.proc, dst.seg, dst.offset as u64, scale, vals)
-            });
-            self.note_counted_put(dst.proc);
+            self.send_counted_put(dst.proc, |buf| enc::acc_f64(buf, dst.proc, dst.seg, dst.offset as u64, scale, vals));
         }
     }
 
@@ -1102,44 +1131,26 @@ impl Armci {
         let mut acts = Vec::new();
         self.notify.poll(NotifyEvent::Expect { slot, target, producers: producers.clone() }, &mut acts);
         let sync = self.my_sync.clone();
-        loop {
-            let until = deadline.min(Instant::now() + self.detect_slice);
-            let mut cond = || sync.atomic_u64(at).load(std::sync::atomic::Ordering::Acquire) >= target;
-            if spin_until_deadline(&mut cond, until) {
+        let cond = || sync.atomic_u64(at).load(std::sync::atomic::Ordering::Acquire) >= target;
+        match self.wait_local_cond("wait_notify", deadline, cond, Some(&producers)) {
+            Ok(()) => {
                 acts.clear();
                 self.notify.poll(NotifyEvent::Observed { slot, value: sync.read_u64(at) }, &mut acts);
                 debug_assert!(acts.contains(&NotifyAction::Complete { slot }));
-                return Ok(());
+                Ok(())
             }
-            match self.on_peer_loss {
-                OnPeerLoss::Abort => {
-                    // Historical semantics: any confirmed loss aborts.
-                    if let Some((peer, epoch)) = self.lost_peer() {
-                        self.disarm_notify_wait(slot);
-                        return Err(ArmciError::PeerLost { peer, epoch });
-                    }
+            Err(e @ ArmciError::PeerLost { epoch, .. }) if self.on_peer_loss == OnPeerLoss::Degrade => {
+                // A producer of this slot died: the engine aborts the wait.
+                if let Some(&dead) = producers.iter().find(|&&r| !self.membership.is_alive(r)) {
+                    acts.clear();
+                    self.notify.poll(NotifyEvent::Evict { rank: dead, epoch }, &mut acts);
+                    debug_assert!(acts.iter().any(|a| matches!(a, NotifyAction::Abort { .. })));
                 }
-                OnPeerLoss::Degrade => {
-                    // Fold confirmed transport losses into membership,
-                    // then abort only if a producer of *this* slot died
-                    // (deterministic evictions injected via
-                    // `evict_node` are already folded in).
-                    for node in self.mb.lost_peers() {
-                        self.observe_loss(node);
-                    }
-                    if let Some(&dead) = producers.iter().find(|&&r| !self.membership.is_alive(r)) {
-                        let epoch = self.membership.epoch();
-                        acts.clear();
-                        self.notify.poll(NotifyEvent::Evict { rank: dead, epoch }, &mut acts);
-                        debug_assert!(acts.iter().any(|a| matches!(a, NotifyAction::Abort { .. })));
-                        let peer = self.topology().node_of(ProcId(dead as u32));
-                        return Err(ArmciError::PeerLost { peer, epoch });
-                    }
-                }
+                Err(e)
             }
-            if Instant::now() >= deadline {
+            Err(e) => {
                 self.disarm_notify_wait(slot);
-                return Err(ArmciError::Timeout { op: "wait_notify" });
+                Err(e)
             }
         }
     }
@@ -1393,9 +1404,14 @@ impl Armci {
                     BarrierAction::AwaitOpDone { target } => {
                         // Stage 2: all puts destined to me must complete.
                         let sync = self.my_sync.clone();
-                        self.wait_local_cond("barrier", deadline, move || {
-                            sync.atomic_u64(layout::OP_DONE).load(std::sync::atomic::Ordering::Acquire) >= target
-                        })?;
+                        self.wait_local_cond(
+                            "barrier",
+                            deadline,
+                            move || {
+                                sync.atomic_u64(layout::OP_DONE).load(std::sync::atomic::Ordering::Acquire) >= target
+                            },
+                            None,
+                        )?;
                         bx_tag = barrier_bx_tag(self.next_epoch());
                         eng.poll(BarrierEvent::OpDoneReached, &mut acts);
                     }

@@ -345,12 +345,17 @@ impl Armci {
                         let sync = self.my_sync.clone();
                         let offs: Vec<usize> =
                             members.iter().map(|&m| layout::op_from(self.locks_per_proc, m as u32)).collect();
-                        self.wait_local_cond("group_barrier", deadline, move || {
-                            offs.iter()
-                                .map(|&o| sync.atomic_u64(o).load(std::sync::atomic::Ordering::Acquire))
-                                .sum::<u64>()
-                                >= target
-                        })?;
+                        self.wait_local_cond(
+                            "group_barrier",
+                            deadline,
+                            move || {
+                                offs.iter()
+                                    .map(|&o| sync.atomic_u64(o).load(std::sync::atomic::Ordering::Acquire))
+                                    .sum::<u64>()
+                                    >= target
+                            },
+                            None,
+                        )?;
                         bx_tag = barrier_bx_tag(g.msg.scoped(self).next_epoch());
                         eng.poll(BarrierEvent::OpDoneReached, &mut acts);
                     }
@@ -456,9 +461,12 @@ impl Armci {
                     let seg = c.seg.clone();
                     let off = c.arrive;
                     let want = round * locals;
-                    self.wait_local_cond("group_barrier", deadline, move || {
-                        seg.atomic_u64(off).load(std::sync::atomic::Ordering::Acquire) >= want
-                    })?;
+                    self.wait_local_cond(
+                        "group_barrier",
+                        deadline,
+                        move || seg.atomic_u64(off).load(std::sync::atomic::Ordering::Acquire) >= want,
+                        None,
+                    )?;
                     for i in 1..hs.domains[hs.my_dom].len() {
                         let from = hs.domains[hs.my_dom][i] as u32;
                         eng.poll(HierEvent::Recv(HierMsg::Arrive { from }), &mut acts);
@@ -476,9 +484,12 @@ impl Armci {
                     let c = hs.counters.as_ref().expect("release wait in a single-member domain");
                     let seg = c.seg.clone();
                     let off = c.release;
-                    self.wait_local_cond("group_barrier", deadline, move || {
-                        seg.atomic_u64(off).load(std::sync::atomic::Ordering::Acquire) >= round
-                    })?;
+                    self.wait_local_cond(
+                        "group_barrier",
+                        deadline,
+                        move || seg.atomic_u64(off).load(std::sync::atomic::Ordering::Acquire) >= round,
+                        None,
+                    )?;
                     eng.poll(HierEvent::Recv(HierMsg::Release), &mut acts);
                 }
             }

@@ -134,9 +134,12 @@ impl Armci {
                 HybridAction::AwaitCounter { ticket } => {
                     let sync = self.registry.lookup(id.owner, SegId(0));
                     let deadline = self.op_deadline();
-                    self.wait_local_cond("lock", deadline, move || {
-                        sync.atomic_u64(layout::hybrid_counter(id.idx)).load(Ordering::Acquire) == ticket
-                    })?;
+                    self.wait_local_cond(
+                        "lock",
+                        deadline,
+                        move || sync.atomic_u64(layout::hybrid_counter(id.idx)).load(Ordering::Acquire) == ticket,
+                        None,
+                    )?;
                     eng.poll(HybridEvent::CounterReached, &mut acts);
                 }
                 HybridAction::SendLockReq => {
@@ -216,9 +219,12 @@ impl Armci {
             let sync = self.registry.lookup(id.owner, SegId(0));
             let ticket = sync.fetch_add_u64(layout::hybrid_ticket(id.idx), 1);
             let deadline = self.op_deadline();
-            return self.wait_local_cond("lock", deadline, move || {
-                sync.atomic_u64(layout::hybrid_counter(id.idx)).load(Ordering::Acquire) == ticket
-            });
+            return self.wait_local_cond(
+                "lock",
+                deadline,
+                move || sync.atomic_u64(layout::hybrid_counter(id.idx)).load(Ordering::Acquire) == ticket,
+                None,
+            );
         }
         let ticket = self.try_rmw(ticket_addr, RmwOp::FetchAddU64(1))?[0];
         // Remote poll loop with capped exponential backoff (the shared
@@ -376,9 +382,12 @@ impl Armci {
                     // sent by the releaser.
                     let deadline = self.op_deadline();
                     let sync = self.my_sync.clone();
-                    self.wait_local_cond("lock", deadline, move || {
-                        sync.atomic_u64(layout::MCS_LOCKED).load(Ordering::Acquire) == 0
-                    })?;
+                    self.wait_local_cond(
+                        "lock",
+                        deadline,
+                        move || sync.atomic_u64(layout::MCS_LOCKED).load(Ordering::Acquire) == 0,
+                        None,
+                    )?;
                     eng.poll(McsAcquireEvent::LockedCleared, &mut acts);
                 }
                 McsAcquireAction::SetLease => {
@@ -439,9 +448,12 @@ impl Armci {
                     // (Figure 5 line 20).
                     let deadline = self.op_deadline();
                     let sync = self.my_sync.clone();
-                    unwrap_op(self.wait_local_cond("unlock", deadline, move || {
-                        sync.atomic_u64(layout::MCS_NEXT).load(Ordering::Acquire) != 0
-                    }));
+                    unwrap_op(self.wait_local_cond(
+                        "unlock",
+                        deadline,
+                        move || sync.atomic_u64(layout::MCS_NEXT).load(Ordering::Acquire) != 0,
+                        None,
+                    ));
                     let next = PackedPtr(self.my_sync.read_u64(layout::MCS_NEXT));
                     eng.poll(McsReleaseEvent::NextValue(next.decode()), &mut acts);
                 }
@@ -620,9 +632,12 @@ impl Armci {
         // Orphaned chain me → W1 … Wk (= prev). Wait for W1's link.
         let deadline = self.op_deadline();
         let sync = self.my_sync.clone();
-        unwrap_op(self.wait_local_cond("unlock", deadline, move || {
-            sync.atomic_u64(layout::MCS_NEXT).load(Ordering::Acquire) != 0
-        }));
+        unwrap_op(self.wait_local_cond(
+            "unlock",
+            deadline,
+            move || sync.atomic_u64(layout::MCS_NEXT).load(Ordering::Acquire) != 0,
+            None,
+        ));
         let w1 = PackedPtr(self.my_sync.read_u64(layout::MCS_NEXT));
         let w1_addr = w1.decode().expect("linked successor decodes");
         // Restore the orphan tail; learn whether usurpers slipped in.
@@ -675,9 +690,12 @@ impl Armci {
             self.put_pair(prev_addr, me_pair);
             let deadline = self.op_deadline();
             let sync = self.my_sync.clone();
-            self.wait_local_cond("lock", deadline, move || {
-                sync.atomic_u64(layout::MCS_PAIR_LOCKED).load(Ordering::Acquire) == 0
-            })?;
+            self.wait_local_cond(
+                "lock",
+                deadline,
+                move || sync.atomic_u64(layout::MCS_PAIR_LOCKED).load(Ordering::Acquire) == 0,
+                None,
+            )?;
         }
         self.mcs_pair_held = Some(id);
         Ok(())
@@ -698,9 +716,12 @@ impl Armci {
             }
             let deadline = self.op_deadline();
             let sync = self.my_sync.clone();
-            unwrap_op(
-                self.wait_local_cond("unlock", deadline, move || sync.pair_read(layout::MCS_PAIR_NEXT) != [0, 0]),
-            );
+            unwrap_op(self.wait_local_cond(
+                "unlock",
+                deadline,
+                move || sync.pair_read(layout::MCS_PAIR_NEXT) != [0, 0],
+                None,
+            ));
             next = self.my_sync.pair_read(layout::MCS_PAIR_NEXT);
         }
         let next_addr = GlobalAddr::from_pair(next).expect("non-null next decodes");

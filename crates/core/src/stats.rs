@@ -45,6 +45,10 @@ pub struct Stats {
     pub wire_msgs: u64,
     /// Payload bytes those wire messages carried (excluding framing).
     pub wire_bytes: u64,
+    /// `write(2)` calls this endpoint's thread made to send them (zero on
+    /// the emulator; the network backend's IO thread writes the rest).
+    /// `wire_msgs / wire_writes` is the frames-per-write batching factor.
+    pub wire_writes: u64,
 }
 
 impl Stats {

@@ -79,7 +79,7 @@ fn reset_conn_fails_both_ranks() {
 }
 
 /// A mid-frame EOF (crashed writer signature) must poison the peer rather
-/// than panic the reader thread; the victim's barrier fails cleanly.
+/// than panic the event loop; the victim's barrier fails cleanly.
 #[test]
 fn truncated_frame_poisons_peer() {
     let op_timeout = Duration::from_secs(2);

@@ -1,60 +1,57 @@
-//! The event-loop IO driver: one nonblocking loop per node owning every
-//! peer socket, instead of two blocking threads per peer.
+//! The node's IO thread: one nonblocking loop owning the read side of
+//! every peer socket and the slow half of the write side.
 //!
-//! The loop multiplexes all peer links over [`crate::poller::PollSet`]
-//! (`poll(2)`): readiness-driven reads feed the shared
-//! [`crate::frames::FrameDecoder`]; writes drain per-peer channels into a
-//! per-peer output buffer (coalescing a burst into one `write`), with
-//! partial writes resumed on the next writability event. Every
-//! time-driven behaviour — heartbeat cadence, staleness and ring-full
-//! watchdogs, reconnect retry pacing, scripted `StallWriter` expiry —
-//! hangs off one [`crate::timer::TimerWheel`], so heartbeats keep firing
-//! no matter how busy the IO queues are. Decoded frames land in the same
-//! per-endpoint inboxes through [`crate::frames::deliver`], and all
-//! session bookkeeping goes through [`crate::frames::session_step`] —
-//! identical semantics to the threaded driver, O(1) threads per node.
+//! Senders write their own small frames (see [`crate::link`]); the loop
+//! multiplexes all peer links over [`crate::poller::PollSet`] (`poll(2)`)
+//! and keeps the rest of the work:
 //!
-//! Reconnect handshakes are loop-resident too: the dial side is a
-//! [`DialAttempt`] (nonblocking `connect(2)` + hello + reply) and the
-//! accept side an [`AcceptAttempt`], both registered on the same poll set
-//! and stepped every iteration — no helper threads, the loop never blocks
-//! outside `poll`, and each node's IO is exactly one thread.
+//! * reads: readiness-driven, through the shared
+//!   [`crate::frames::FrameDecoder`], delivered into the per-endpoint
+//!   inboxes via [`crate::frames::deliver`] after
+//!   [`crate::frames::session_step`] bookkeeping;
+//! * writes nobody else finishes: frames of at least
+//!   [`crate::link::LOOP_WRITE_MIN`] bytes, writes the socket only partly
+//!   took (resumed on `POLLOUT`), replays after a reconnect, the backlog
+//!   of frames that could not be sequenced yet, and a sweep of held
+//!   frames older than [`crate::link::HOLD_MAX`];
+//! * everything time-driven — heartbeat cadence, staleness and ring-full
+//!   watchdogs, reconnect retry pacing — on one
+//!   [`crate::timer::TimerWheel`];
+//! * reconnect handshakes: the dial side is a [`DialAttempt`]
+//!   (nonblocking `connect(2)` + hello + reply) and the accept side an
+//!   [`AcceptAttempt`], both registered on the same poll set and stepped
+//!   every iteration — no helper threads, the loop never blocks outside
+//!   `poll`, and each node's IO is exactly one thread.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)] // IO loop: every failure must become a session transition
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use armci_transport::{BodyPool, Msg, Topology};
-use crossbeam_channel::{Receiver, Sender, TryRecvError};
+use crossbeam_channel::Sender;
 
 use crate::dial::{AcceptAttempt, AcceptStep, DialAttempt, DialStep};
-use crate::fabric::{KillSwitch, WireMsg};
-use crate::fault::{FaultAction, FaultSpec};
 use crate::frames::{self, FrameDecoder, Progress, SessionStep};
+use crate::link::Link;
 use crate::poller::{Interest, PollSet, WakePipe};
-use crate::session::{EnqueueError, Session, SessionCfg, SESS_SUSPECT, SESS_UP};
+use crate::session::{Session, SessionCfg, SESS_SUSPECT, SESS_UP};
 use crate::timer::TimerWheel;
-use crate::wire;
-
-/// Pause pulling new messages once this many encoded-but-unflushed bytes
-/// are pending on a link (writability events resume the drain).
-const HIGH_WATER: usize = 256 * 1024;
 
 /// Reconnect retry cadence while a session is suspect.
 const RECONNECT_TICK: Duration = Duration::from_millis(20);
 
-/// Poll-timeout ceiling: an idle loop still looks around this often (so
-/// e.g. channel disconnects missed between a wake and a sleep are picked
-/// up promptly even if no doorbell rings again).
+/// Poll-timeout ceiling: an idle loop still looks around this often, so
+/// held frames nobody flushes reach the wire within one period (senders
+/// do not ring the doorbell for them).
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// How long a pending accept-side handshake may take before it is
-/// abandoned (same budget the old helper threads gave `read_timeout`).
+/// abandoned.
 const ACCEPT_HANDSHAKE: Duration = Duration::from_secs(2);
 
 const TOK_WAKE: usize = 0;
@@ -67,11 +64,11 @@ const TOK_MACHINE: usize = usize::MAX;
 
 /// Everything [`run`] needs for one peer link.
 pub(crate) struct PeerSeed {
-    pub peer: usize,
-    pub sess: Arc<Session>,
-    pub rx: Receiver<WireMsg>,
-    /// Scripted faults targeting this connection, each consumed once.
-    pub faults: Vec<Option<FaultSpec>>,
+    pub link: Arc<Link>,
+    /// Read handle on the boot stream (the link already writes through
+    /// its own clone), and the stream generation it belongs to.
+    pub read: Option<TcpStream>,
+    pub gen: u64,
     /// The peer's boot-listener address, dialed on reconnect.
     pub addr: String,
 }
@@ -82,13 +79,14 @@ pub(crate) struct LoopCfg {
     pub topo: Topology,
     pub local_txs: Vec<Option<Sender<Msg>>>,
     pub session: SessionCfg,
-    pub kill: Arc<KillSwitch>,
     pub node_dead: Arc<AtomicBool>,
     /// The fabric's shutdown flag (stops accepting reconnects).
     pub shutdown: Arc<AtomicBool>,
     /// Retained boot listener, present only with recovery enabled.
     pub listener: Option<TcpListener>,
     pub peers: Vec<PeerSeed>,
+    /// `write(2)` calls the loop makes, for [`crate::NodeFabric::wire_totals`].
+    pub writes: Arc<AtomicU64>,
 }
 
 /// A timer-wheel entry, keyed by link index.
@@ -98,42 +96,19 @@ enum Timer {
     Health(usize),
     /// Suspect-session reconnect round.
     Reconnect(usize),
-    /// A scripted `StallWriter` expired; resume the link's write pump.
-    StallOver(usize),
 }
 
-/// One peer link's loop-local state.
+/// One peer link's loop-local state: the read side and reconnect driving.
 struct PeerLink {
-    peer: usize,
-    sess: Arc<Session>,
-    rx: Receiver<WireMsg>,
-    /// False once the fabric-side senders disconnected (teardown).
-    rx_open: bool,
-    faults: Vec<Option<FaultSpec>>,
+    link: Arc<Link>,
     addr: String,
-    /// The attached stream (read via the buffer, written via `get_ref`);
-    /// `None` while disconnected or after teardown.
-    stream: Option<BufReader<TcpStream>>,
+    /// The attached stream's read handle; `None` while disconnected or
+    /// after teardown.
+    read: Option<BufReader<TcpStream>>,
     /// Cached stream generation, compared against the session's.
     gen: u64,
     dec: FrameDecoder,
     pool: BodyPool,
-    /// Encoded-but-unflushed output (preambles + frames); `out_pos` marks
-    /// how much a partial write already consumed.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// A message that could not be sequenced yet (replay ring full or a
-    /// stall in progress); retried before the channel is drained further.
-    head: Option<WireMsg>,
-    /// Frames sequenced on this connection, for fault trigger points.
-    sent: u64,
-    /// Scripted `StallWriter` in effect until this instant.
-    stalled_until: Option<Instant>,
-    /// When the replay ring was first observed full with no ack progress.
-    ring_full_since: Option<Instant>,
-    /// Whether a data frame went out since the last health tick (data
-    /// preambles carry acks, so no bare ack is needed).
-    wrote_data: bool,
     /// An in-flight reconnect dial handshake, stepped by the loop.
     dial: Option<DialAttempt>,
     /// A `Reconnect` timer is armed for this link.
@@ -145,313 +120,110 @@ struct PeerLink {
 impl PeerLink {
     fn new(seed: PeerSeed) -> PeerLink {
         PeerLink {
-            peer: seed.peer,
-            sess: seed.sess,
-            rx: seed.rx,
-            rx_open: true,
-            faults: seed.faults,
+            link: seed.link,
             addr: seed.addr,
-            stream: None,
-            gen: 0,
+            read: seed.read.map(|s| BufReader::with_capacity(64 * 1024, s)),
+            gen: seed.gen,
             dec: FrameDecoder::new(),
             pool: BodyPool::new(8),
-            out: Vec::new(),
-            out_pos: 0,
-            head: None,
-            sent: 0,
-            stalled_until: None,
-            ring_full_since: None,
-            wrote_data: false,
             dial: None,
             reconnect_armed: false,
             write_shut: false,
         }
     }
 
-    /// Take the next fault due at `sent` frames, if any.
-    fn due_fault(&mut self) -> Option<FaultSpec> {
-        let sent = self.sent;
-        self.faults.iter_mut().find(|f| f.as_ref().is_some_and(|f| f.after_frames <= sent)).and_then(Option::take)
+    fn sess(&self) -> &Session {
+        &self.link.sess
     }
 
-    fn pending_out(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-
-    /// Drop the attached stream and any output staged for it (ringed
-    /// frames are replayed on reconnect; without recovery the peer is
-    /// terminal anyway).
+    /// Drop the attached stream, both halves, and anything staged for it.
     fn drop_stream(&mut self) {
-        self.stream = None;
-        self.out.clear();
-        self.out_pos = 0;
+        self.read = None;
         self.dec.reset();
+        self.link.lock().drop_stream();
     }
 
-    /// The write half has nothing more to do: the fabric disconnected the
-    /// channel and everything accepted was flushed (or the session died).
+    /// The write half has nothing more to do: every sender is gone and
+    /// everything accepted was written (or the session died).
     fn writer_done(&self) -> bool {
-        self.sess.is_terminal() || (!self.rx_open && self.head.is_none() && self.pending_out() == 0)
+        self.sess().is_terminal() || {
+            let o = self.link.lock();
+            o.closed && o.drained()
+        }
     }
 
     /// The read half has nothing more to do.
     fn reader_done(&self) -> bool {
-        self.sess.is_terminal() || (self.stream.is_none() && self.sess.teardown_begun())
+        self.sess().is_terminal() || (self.read.is_none() && self.sess().teardown_begun())
     }
 }
 
-/// Loop-wide immutable-ish context (only `local_txs` is ever mutated:
-/// the senders are dropped once every link's reader is done, mirroring
-/// the threaded driver's reader threads exiting).
+/// Loop-wide context (only `local_txs` is ever mutated: the senders are
+/// dropped once every link's reader is done).
 struct Ctx {
     node: u32,
     topo: Topology,
     local_txs: Vec<Option<Sender<Msg>>>,
     session: SessionCfg,
-    kill: Arc<KillSwitch>,
     shutdown: Arc<AtomicBool>,
 }
 
-/// Adopt a freshly installed stream: nonblocking mode, fresh decoder,
-/// discarded stale output, and (recovery) the unacked ring replayed with
-/// current acks.
-fn adopt(link: &mut PeerLink, _ctx: &Ctx) {
-    let Some(s) = link.sess.fresh_stream(&mut link.gen) else {
+/// Make a fresh stream nonblocking and split it into the loop's read
+/// handle and the link's write handle.
+pub(crate) fn split(s: TcpStream) -> std::io::Result<(TcpStream, TcpStream)> {
+    s.set_nonblocking(true)?;
+    let w = s.try_clone()?;
+    Ok((s, w))
+}
+
+/// Adopt a freshly installed stream: fresh decoder, and (recovery) the
+/// unacked ring staged for replay.
+fn adopt(pl: &mut PeerLink) {
+    let Some(s) = pl.link.sess.fresh_stream(&mut pl.gen) else {
         return;
     };
-    if s.set_nonblocking(true).is_err() {
-        link.sess.mark_dead();
-        link.drop_stream();
-        return;
+    match split(s) {
+        Ok((r, w)) => {
+            pl.dec.reset();
+            pl.read = Some(BufReader::with_capacity(64 * 1024, r));
+            pl.link.attach(&mut pl.link.lock(), w);
+        }
+        Err(_) => {
+            pl.sess().mark_dead();
+            pl.drop_stream();
+        }
     }
-    link.drop_stream();
-    for (seq, bytes) in link.sess.unacked() {
-        let ack = link.sess.recv_cursor.load(Ordering::Acquire);
-        let _ = wire::write_preamble(&mut link.out, wire::Preamble::Data { seq, ack });
-        link.out.extend_from_slice(&bytes);
-    }
-    link.stream = Some(BufReader::with_capacity(64 * 1024, s));
 }
 
 /// The link's stream failed (or desynced): sever it and transition the
 /// session — suspect + reconnect driving with recovery, dead without.
-fn on_stream_error(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize) {
-    link.drop_stream();
+fn on_stream_error(pl: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize) {
+    pl.drop_stream();
     if !ctx.session.recovery {
-        link.sess.mark_dead();
+        pl.sess().mark_dead();
         return;
     }
-    if link.sess.mark_suspect(link.gen) {
-        arm_reconnect(link, wheel, idx);
+    if pl.sess().mark_suspect(pl.gen) {
+        arm_reconnect(pl, wheel, idx);
     }
 }
 
-fn arm_reconnect(link: &mut PeerLink, wheel: &mut TimerWheel<Timer>, idx: usize) {
-    if !link.reconnect_armed && !link.sess.teardown_begun() && !link.sess.is_terminal() {
-        link.reconnect_armed = true;
+fn arm_reconnect(pl: &mut PeerLink, wheel: &mut TimerWheel<Timer>, idx: usize) {
+    if !pl.reconnect_armed && !pl.sess().teardown_begun() && !pl.sess().is_terminal() {
+        pl.reconnect_armed = true;
         // First round fires immediately; retries pace at RECONNECT_TICK.
         wheel.insert(Instant::now(), Timer::Reconnect(idx));
     }
 }
 
-/// Flush as much pending output as the socket accepts right now.
-fn flush(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize) {
-    if link.stream.is_none() {
-        link.out.clear();
-        link.out_pos = 0;
-        return;
-    }
-    let mut failed = false;
-    while link.out_pos < link.out.len() {
-        let Some(r) = &link.stream else { break };
-        let mut w: &TcpStream = r.get_ref();
-        match w.write(&link.out[link.out_pos..]) {
-            Ok(0) => {
-                failed = true;
-                break;
-            }
-            Ok(n) => link.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                failed = true;
-                break;
-            }
-        }
-    }
-    if failed {
-        on_stream_error(link, ctx, wheel, idx);
-        return;
-    }
-    if link.out_pos == link.out.len() {
-        link.out.clear();
-        link.out_pos = 0;
-    }
-}
-
-/// Control flow after enacting one scripted fault in the write pump.
-enum FaultFlow {
-    Continue,
-    /// Stall in effect or link/loop is done with this peer for now.
-    Stop,
-}
-
-/// Enact one scripted fault (see [`crate::fault`]) against `link`. `m` is
-/// the trigger message, not yet sequenced.
-fn enact_fault(
-    f: FaultSpec,
-    link: &mut PeerLink,
-    ctx: &Ctx,
-    wheel: &mut TimerWheel<Timer>,
-    idx: usize,
-    m: &WireMsg,
-    now: Instant,
-) -> FaultFlow {
-    match f.action {
-        FaultAction::StallWriter { millis } => {
-            // The threaded writer sleeps in place; the loop must not, so
-            // the stall is a timer and the trigger message waits in
-            // `head` (the pump skips a stalled link entirely).
-            let until = now + Duration::from_millis(millis);
-            link.stalled_until = Some(until);
-            wheel.insert(until, Timer::StallOver(idx));
-            FaultFlow::Stop
-        }
-        FaultAction::ResetConn => {
-            if let Some(r) = &link.stream {
-                let _ = r.get_ref().shutdown(Shutdown::Both);
-            }
-            link.drop_stream();
-            if ctx.session.recovery {
-                if link.sess.mark_suspect(link.gen) {
-                    arm_reconnect(link, wheel, idx);
-                }
-                // The trigger frame still gets sequenced and ringed below
-                // (streamless), so the reconnect replays it.
-                FaultFlow::Continue
-            } else {
-                link.sess.mark_dead();
-                FaultFlow::Stop
-            }
-        }
-        FaultAction::TruncateFrame => {
-            // Flush what is staged, then a preamble and half a header:
-            // the peer observes EOF mid-frame, the crashed-writer
-            // signature. Best effort — the socket dies right after.
-            if let Some(r) = &link.stream {
-                let mut w: &TcpStream = r.get_ref();
-                let _ = w.write_all(&link.out[link.out_pos..]);
-                let mut frame = Vec::new();
-                let _ = wire::write_preamble(&mut frame, wire::Preamble::Data { seq: 0, ack: 0 });
-                let _ = wire::write_frame(&mut frame, m.dst, m.src, m.tag, &m.body);
-                let cut = (wire::PREAMBLE_LEN + wire::HEADER_LEN / 2).min(frame.len());
-                let _ = w.write_all(&frame[..cut]);
-                let _ = r.get_ref().shutdown(Shutdown::Both);
-            }
-            link.drop_stream();
-            if ctx.session.recovery {
-                if link.sess.mark_suspect(link.gen) {
-                    arm_reconnect(link, wheel, idx);
-                }
-                FaultFlow::Continue
-            } else {
-                link.sess.mark_dead();
-                FaultFlow::Stop
-            }
-        }
-        FaultAction::KillNode => {
-            ctx.kill.fire();
-            FaultFlow::Stop
-        }
-        // Boot-path only; filtered out of wire fault lists.
-        FaultAction::DialFail { .. } => FaultFlow::Continue,
-    }
-}
-
-/// Drain the link's channel into its output buffer (encoding + session
-/// sequencing per frame) and flush. Stops at the byte high-water mark, a
-/// full replay ring, a scripted stall, or the channel running dry.
-fn pump_writes(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize, now: Instant) {
-    if link.stalled_until.is_some_and(|t| now < t) {
-        return;
-    }
-    link.stalled_until = None;
-    flush(link, ctx, wheel, idx);
-    'fill: while link.pending_out() < HIGH_WATER {
-        if link.sess.is_terminal() {
-            // Parity with the threaded writer exiting its loop: whatever
-            // is still queued is dropped, not half-sent.
-            link.head = None;
-            break 'fill;
-        }
-        let m = match link.head.take() {
-            Some(m) => m,
-            None => match link.rx.try_recv() {
-                Ok(m) => m,
-                Err(TryRecvError::Empty) => break 'fill,
-                Err(TryRecvError::Disconnected) => {
-                    link.rx_open = false;
-                    break 'fill;
-                }
-            },
-        };
-        // Scripted faults fire just before the frame that would take the
-        // per-connection count past `after_frames`.
-        while let Some(f) = link.due_fault() {
-            match enact_fault(f, link, ctx, wheel, idx, &m, now) {
-                FaultFlow::Continue => {}
-                FaultFlow::Stop => {
-                    if link.stalled_until.is_some() {
-                        // The stalled trigger message is retried after the
-                        // stall expires.
-                        link.head = Some(m);
-                    }
-                    break 'fill;
-                }
-            }
-        }
-        if link.sess.is_terminal() {
-            break 'fill;
-        }
-        let Some(encoded) = frames::encode_frame(m.dst, m.src, m.tag, &m.body) else {
-            break 'fill;
-        };
-        match link.sess.try_enqueue(&ctx.session, encoded.clone()) {
-            Ok(seq) => {
-                link.sent += 1;
-                link.ring_full_since = None;
-                // Streamless sends (mid-reconnect) are ringed only: the
-                // replay on the next adopt covers them.
-                if link.stream.is_some() {
-                    let ack = link.sess.recv_cursor.load(Ordering::Acquire);
-                    let _ = wire::write_preamble(&mut link.out, wire::Preamble::Data { seq, ack });
-                    link.out.extend_from_slice(&encoded);
-                    link.wrote_data = true;
-                }
-            }
-            Err(EnqueueError::Full) => {
-                // Retried once the peer's next ack prunes the ring (an
-                // incoming readable event); the health tick gives up after
-                // a full suspect window without progress, mirroring the
-                // threaded driver's blocking enqueue.
-                link.head = Some(m);
-                link.ring_full_since.get_or_insert(now);
-                break 'fill;
-            }
-            Err(EnqueueError::Terminal) => break 'fill,
-        }
-    }
-    flush(link, ctx, wheel, idx);
-}
-
 /// Decode and deliver everything the socket has for us right now.
-fn pump_reads(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize) {
+fn pump_reads(pl: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize) {
     let recovery = ctx.session.recovery;
     loop {
-        let Some(r) = &mut link.stream else { return };
-        match link.dec.poll_step(r, &ctx.topo, &mut link.pool) {
+        let Some(r) = &mut pl.read else { return };
+        match pl.dec.poll_step(r, &ctx.topo, &mut pl.pool) {
             Ok(Progress::NeedMore) => return,
-            Ok(Progress::Item(p, f)) => match frames::session_step(&link.sess, recovery, p) {
+            Ok(Progress::Item(p, f)) => match frames::session_step(&pl.link.sess, recovery, p) {
                 SessionStep::Deliver => {
                     if let Some(f) = f {
                         frames::deliver(&ctx.topo, &ctx.local_txs, f);
@@ -459,26 +231,25 @@ fn pump_reads(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx
                 }
                 SessionStep::Skip => {}
                 SessionStep::Desync => {
-                    on_stream_error(link, ctx, wheel, idx);
+                    on_stream_error(pl, ctx, wheel, idx);
                     return;
                 }
             },
             Ok(Progress::CleanEof) => {
                 if recovery {
-                    // Same as the threaded reader: suspect and (unless we
-                    // are tearing down too) drive a reconnect; replayed
-                    // sequence numbers deduplicate.
-                    on_stream_error(link, ctx, wheel, idx);
+                    // Suspect and (unless we are tearing down too) drive a
+                    // reconnect; replayed sequence numbers deduplicate.
+                    on_stream_error(pl, ctx, wheel, idx);
                 } else {
                     // Collective teardown (or a peer death at an exact
                     // boundary, which is indistinguishable).
-                    link.sess.mark_closed();
-                    link.drop_stream();
+                    pl.sess().mark_closed();
+                    pl.drop_stream();
                 }
                 return;
             }
             Err(_) => {
-                on_stream_error(link, ctx, wheel, idx);
+                on_stream_error(pl, ctx, wheel, idx);
                 return;
             }
         }
@@ -488,41 +259,46 @@ fn pump_reads(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx
 /// Heartbeat-cadence health tick (recovery mode): idle bare ack,
 /// peer-staleness check, ring-full watchdog. Re-arms itself until the
 /// session is terminal.
-fn health_tick(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize, now: Instant) {
-    if link.sess.is_terminal() {
+fn health_tick(pl: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize, now: Instant) {
+    if pl.sess().is_terminal() {
         return;
     }
-    if link.ring_full_since.is_some_and(|t| now.duration_since(t) >= ctx.session.suspect_after) {
+    let ring_stuck = pl.link.lock().ring_full_since.is_some_and(|t| now.duration_since(t) >= ctx.session.suspect_after);
+    if ring_stuck {
         // A full replay ring with no ack progress for a whole suspect
         // window: the peer is not consuming. Give up on it.
-        link.sess.mark_dead();
-        link.drop_stream();
+        pl.sess().mark_dead();
+        pl.drop_stream();
         return;
     }
-    let state = link.sess.state();
+    let state = pl.sess().state();
     if state == SESS_UP {
-        if link.sess.silent_for() > ctx.session.suspect_after {
+        if pl.sess().silent_for() > ctx.session.suspect_after {
             // TCP says up but the peer has been silent past the budget
             // (it would have heartbeat if alive): declare it.
-            link.sess.mark_dead();
-            link.drop_stream();
+            pl.sess().mark_dead();
+            pl.drop_stream();
             return;
         }
-        if link.stream.is_some() && !link.wrote_data && !link.write_shut {
+        let mut o = pl.link.lock();
+        if !o.wrote_data && !pl.write_shut {
             // Idle link: a bare ack both proves our liveness and advances
-            // the peer's replay-ring pruning. Staged here, flushed by the
-            // next write pump (immediately after timer dispatch).
-            let ack = link.sess.recv_cursor.load(Ordering::Acquire);
-            if wire::write_preamble(&mut link.out, wire::Preamble::Ack { ack }).is_ok() {
-                link.sess.hb_sent.fetch_add(1, Ordering::Relaxed);
+            // the peer's replay-ring pruning. Written by the next pump,
+            // right after timer dispatch.
+            let ack = pl.link.sess.recv_cursor.load(Ordering::Acquire);
+            if o.stage_ack(ack) {
+                pl.link.sess.hb_sent.fetch_add(1, Ordering::Relaxed);
             }
         }
-    } else if state == SESS_SUSPECT {
-        // Belt and braces: suspicion raised outside the loop (e.g. the
-        // session layer) still gets reconnect driving.
-        arm_reconnect(link, wheel, idx);
+        o.wrote_data = false;
+    } else {
+        pl.link.lock().wrote_data = false;
+        if state == SESS_SUSPECT {
+            // Belt and braces: suspicion raised outside the loop still
+            // gets reconnect driving.
+            arm_reconnect(pl, wheel, idx);
+        }
     }
-    link.wrote_data = false;
     wheel.insert(now + ctx.session.heartbeat_interval, Timer::Health(idx));
 }
 
@@ -530,9 +306,9 @@ fn health_tick(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, id
 /// deadline, and (as the higher-numbered node) start a nonblocking dial
 /// of the peer's retained boot listener — the loop steps it from here on.
 /// Re-arms itself while the session stays suspect.
-fn reconnect_tick(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize, now: Instant) {
-    link.reconnect_armed = false;
-    let sess = &link.sess;
+fn reconnect_tick(pl: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize, now: Instant) {
+    pl.reconnect_armed = false;
+    let sess = &pl.link.sess;
     if sess.is_terminal() || sess.teardown_begun() || sess.state() != SESS_SUSPECT {
         return;
     }
@@ -544,40 +320,40 @@ fn reconnect_tick(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>,
         sess.mark_dead();
         return;
     }
-    let dialer = ctx.node as usize > link.peer && !link.addr.is_empty();
-    if dialer && link.dial.is_none() {
+    let dialer = ctx.node as usize > pl.link.peer && !pl.addr.is_empty();
+    if dialer && pl.dial.is_none() {
         let cursor = sess.recv_cursor.load(Ordering::Acquire);
         // Start failures (socket exhaustion, refused-at-once) just leave
         // `dial` empty; the next tick retries.
-        link.dial = DialAttempt::start(&link.addr, ctx.node, cursor, deadline).ok();
+        pl.dial = DialAttempt::start(&pl.addr, ctx.node, cursor, deadline).ok();
     }
-    link.reconnect_armed = true;
+    pl.reconnect_armed = true;
     wheel.insert(now + RECONNECT_TICK, Timer::Reconnect(idx));
 }
 
 /// Step a link's in-flight reconnect dial as far as its socket allows.
-fn step_dial(link: &mut PeerLink, now: Instant) {
-    let Some(dial) = &mut link.dial else { return };
-    let sess = &link.sess;
+fn step_dial(pl: &mut PeerLink, now: Instant) {
+    let Some(dial) = &mut pl.dial else { return };
+    let sess = &pl.link.sess;
     if sess.is_terminal() || sess.teardown_begun() || sess.state() != SESS_SUSPECT {
         // The session resolved some other way (accept-side install won
         // the race, or it died); the attempt is stale.
-        link.dial = None;
+        pl.dial = None;
         return;
     }
     match dial.step(now) {
         DialStep::Pending => {}
         DialStep::Done(s, peer_cursor) => {
             sess.install_stream(s, peer_cursor);
-            link.dial = None;
+            pl.dial = None;
         }
         DialStep::Rejected => {
             // Explicit rejection: the peer knows the session is dead.
             // Terminal, no more retries.
             sess.mark_dead();
-            link.dial = None;
+            pl.dial = None;
         }
-        DialStep::Failed => link.dial = None,
+        DialStep::Failed => pl.dial = None,
     }
 }
 
@@ -604,9 +380,9 @@ fn step_accepts(
     accepts.retain_mut(|acc| loop {
         match acc.step(now) {
             AcceptStep::Pending => return true,
-            AcceptStep::Hello(h) => {
-                let Some(sess) = sessions.get(h.peer as usize).and_then(|o| o.as_ref()) else {
-                    return false; // unknown peer: drop the socket, as before
+            AcceptStep::Hello { peer } => {
+                let Some(sess) = sessions.get(peer as usize).and_then(|o| o.as_ref()) else {
+                    return false; // unknown peer: drop the socket
                 };
                 if node_dead.load(Ordering::Acquire) || sess.is_terminal() {
                     acc.reject();
@@ -630,15 +406,15 @@ fn step_accepts(
 /// when a reconnect listener is held, the fabric has signalled shutdown —
 /// a dead node must keep *rejecting* reconnect dials until then).
 pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
-    let LoopCfg { node, topo, local_txs, session, kill, node_dead, shutdown, listener, peers } = cfg;
-    let mut ctx = Ctx { node, topo, local_txs, session, kill, shutdown };
+    let LoopCfg { node, topo, local_txs, session, node_dead, shutdown, listener, peers, writes } = cfg;
+    let mut ctx = Ctx { node, topo, local_txs, session, shutdown };
     let mut links: Vec<PeerLink> = peers.into_iter().map(PeerLink::new).collect();
     let mut sessions_by_node: Vec<Option<Arc<Session>>> = Vec::new();
     for l in &links {
-        if sessions_by_node.len() <= l.peer {
-            sessions_by_node.resize(l.peer + 1, None);
+        if sessions_by_node.len() <= l.link.peer {
+            sessions_by_node.resize(l.link.peer + 1, None);
         }
-        sessions_by_node[l.peer] = Some(l.sess.clone());
+        sessions_by_node[l.link.peer] = Some(l.link.sess.clone());
     }
     let listener = listener.filter(|l| l.set_nonblocking(true).is_ok());
     let mut accepts: Vec<AcceptAttempt> = Vec::new();
@@ -655,28 +431,51 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
     let mut inboxes_open = true;
     loop {
         let now = Instant::now();
-        for (i, link) in links.iter_mut().enumerate() {
-            adopt(link, &ctx);
-            pump_writes(link, &ctx, &mut wheel, i, now);
-        }
-        for link in &mut links {
-            if !link.write_shut && link.writer_done() {
+        let mut link_due: Option<Instant> = None;
+        set.clear();
+        set.register(wake.fd(), TOK_WAKE, Interest::READ);
+        for (i, pl) in links.iter_mut().enumerate() {
+            adopt(pl);
+            let broken = {
+                let mut o = pl.link.lock();
+                writes.fetch_add(pl.link.pump(&mut o, now), Ordering::Relaxed);
+                std::mem::take(&mut o.broken)
+            };
+            if broken {
+                on_stream_error(pl, &ctx, &mut wheel, i);
+            }
+            if !pl.write_shut && pl.writer_done() {
                 // Clean-teardown half-close: the peer's reader sees EOF at
                 // a transmission boundary. Terminal sessions already shut
                 // their stream.
-                if link.sess.state() == SESS_UP {
-                    if let Some(r) = &link.stream {
+                if pl.sess().state() == SESS_UP {
+                    if let Some(r) = &pl.read {
                         let _ = r.get_ref().shutdown(Shutdown::Write);
                     }
                 }
-                link.sess.begin_teardown();
-                link.write_shut = true;
+                pl.sess().begin_teardown();
+                pl.write_shut = true;
+            }
+            let o = pl.link.lock();
+            if let Some(r) = &pl.read {
+                let want_write = o.loop_owned && o.pending() > 0;
+                let interest = if want_write { Interest::READ_WRITE } else { Interest::READ };
+                set.register(r.get_ref().as_raw_fd(), TOK_BASE + i, interest);
+            }
+            if let Some(t) = o.next_deadline() {
+                link_due = Some(link_due.map_or(t, |d| d.min(t)));
+            }
+            drop(o);
+            // Handshake machines only need poll woken on their readiness;
+            // they are stepped unconditionally after dispatch.
+            if let Some(fd) = pl.dial.as_ref().and_then(DialAttempt::fd) {
+                set.register(fd, TOK_MACHINE, pl.dial.as_ref().map_or(Interest::READ, DialAttempt::interest));
             }
         }
         if inboxes_open && links.iter().all(PeerLink::reader_done) {
-            // Mirror the threaded reader threads exiting: drop our inbox
-            // senders so endpoints blocked in recv get their RecvError as
-            // soon as the fabric side lets go too.
+            // Every reader is done: drop our inbox senders so endpoints
+            // blocked in recv get their RecvError as soon as the fabric
+            // side lets go too.
             for tx in ctx.local_txs.iter_mut() {
                 *tx = None;
             }
@@ -687,23 +486,9 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
             return;
         }
 
-        set.clear();
-        set.register(wake.fd(), TOK_WAKE, Interest::READ);
         if let Some(l) = &listener {
             if !ctx.shutdown.load(Ordering::Acquire) {
                 set.register(l.as_raw_fd(), TOK_LISTENER, Interest::READ);
-            }
-        }
-        for (i, link) in links.iter().enumerate() {
-            if let Some(r) = &link.stream {
-                let want_write = link.pending_out() > 0 && link.stalled_until.is_none();
-                let interest = if want_write { Interest::READ_WRITE } else { Interest::READ };
-                set.register(r.get_ref().as_raw_fd(), TOK_BASE + i, interest);
-            }
-            // Handshake machines only need poll woken on their readiness;
-            // they are stepped unconditionally after dispatch.
-            if let Some(fd) = link.dial.as_ref().and_then(DialAttempt::fd) {
-                set.register(fd, TOK_MACHINE, link.dial.as_ref().map_or(Interest::READ, DialAttempt::interest));
             }
         }
         for acc in &accepts {
@@ -711,17 +496,12 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
                 set.register(fd, TOK_MACHINE, acc.interest());
             }
         }
-        let mut timeout = IDLE_POLL;
-        if let Some(d) = wheel.next_deadline() {
-            timeout = timeout.min(d.saturating_duration_since(Instant::now()));
-        }
-        match set.poll(timeout) {
-            Ok(_) => {}
-            Err(_) => {
-                // poll(2) failing outright (EBADF would be a bug, ENOMEM a
-                // dying host): back off instead of spinning.
-                std::thread::sleep(Duration::from_millis(1));
-            }
+        let due = [wheel.next_deadline(), link_due].into_iter().flatten().min();
+        let timeout = due.map_or(IDLE_POLL, |d| IDLE_POLL.min(d.saturating_duration_since(Instant::now())));
+        if set.poll(timeout).is_err() {
+            // poll(2) failing outright (EBADF would be a bug, ENOMEM a
+            // dying host): back off instead of spinning.
+            std::thread::sleep(Duration::from_millis(1));
         }
         let ready: Vec<(usize, crate::poller::Readiness)> = set.ready().collect();
         for (tok, r) in ready {
@@ -739,9 +519,10 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
                         pump_reads(&mut links[i], &ctx, &mut wheel, i);
                     }
                     if r.writable {
-                        // Resume a partial write now; the loop-top pump
-                        // refills from the channel afterwards.
-                        flush(&mut links[i], &ctx, &mut wheel, i);
+                        // Resume a partial write now (a failure surfaces
+                        // as `broken` at the loop top).
+                        let link = &links[i].link;
+                        writes.fetch_add(link.pump(&mut link.lock(), Instant::now()), Ordering::Relaxed);
                     }
                 }
             }
@@ -751,15 +532,14 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
             match t {
                 Timer::Health(i) => health_tick(&mut links[i], &ctx, &mut wheel, i, now),
                 Timer::Reconnect(i) => reconnect_tick(&mut links[i], &ctx, &mut wheel, i, now),
-                Timer::StallOver(i) => links[i].stalled_until = None,
             }
         }
         // Step every handshake machine: after timers, so a dial started by
         // a reconnect tick makes its first hop (loopback connects usually
         // complete at once) within the same iteration.
         let now = Instant::now();
-        for link in &mut links {
-            step_dial(link, now);
+        for pl in &mut links {
+            step_dial(pl, now);
         }
         step_accepts(&mut accepts, &sessions_by_node, &node_dead, now);
     }
@@ -769,12 +549,12 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::fabric::{IoDriver, NodeFabric};
-    use crate::fault::{FaultPlan, FaultSpec};
+    use crate::fabric::NodeFabric;
+    use crate::fault::{FaultAction, FaultPlan, FaultSpec};
     use armci_transport::{Endpoint, NodeId, ProcId, Tag};
 
     fn ev_loopback(topo: &Topology, faults: FaultPlan, session: SessionCfg) -> Vec<NodeFabric> {
-        NodeFabric::loopback_driver(topo, false, faults, session, Some(IoDriver::EventLoop)).unwrap()
+        NodeFabric::loopback_cfg(topo, false, faults, session).unwrap()
     }
 
     fn shutdown_all(fabrics: impl IntoIterator<Item = NodeFabric>) {
@@ -818,10 +598,9 @@ mod tests {
     #[test]
     fn shutdown_flushes_messages_queued_before_teardown() {
         // Regression: `NodeFabric::shutdown` flags session teardown before
-        // the loop has drained the write channels. Queued messages must
-        // still reach the peer (the threaded driver's blocking writer
-        // always drained them); `try_enqueue` rejecting on the teardown
-        // flag silently dropped them, wedging the peer's final barrier.
+        // the loop has written everything out. Sent messages must still
+        // reach the peer; `try_enqueue` rejecting on the teardown flag
+        // once silently dropped them, wedging the peer's final barrier.
         let topo = Topology::new(2, 1);
         let mut fabrics = ev_loopback(&topo, FaultPlan::new(), SessionCfg::default());
         let mut f1 = fabrics.pop().unwrap();
@@ -832,7 +611,7 @@ mod tests {
             a.send(Endpoint::Proc(ProcId(1)), Tag(1), i.to_le_bytes().to_vec());
         }
         // Tear down the sender immediately: the loop races the teardown
-        // flag against a channel full of undelivered messages.
+        // flag against a buffer of unwritten messages.
         drop(a);
         let t0 = std::thread::spawn(move || f0.shutdown());
         for i in 0..500u32 {
@@ -846,10 +625,8 @@ mod tests {
 
     #[test]
     fn heartbeats_fire_under_sustained_outbound_load() {
-        // Satellite check for the writer-idle-tick coupling bug: under the
-        // threaded driver, heartbeats only fired when the writer's
-        // blocking receive timed out, so a saturated channel starved them.
-        // On the timer wheel they are due when the clock says so. Flood
+        // Heartbeats hang off the timer wheel, so they are due when the
+        // clock says so, however busy the link is. Flood
         // A -> B; B's write path stays idle (it only acks), so B must keep
         // emitting bare acks at heartbeat cadence while its loop is busy
         // reading the flood.
@@ -906,7 +683,8 @@ mod tests {
     fn reconnect_replays_after_reset_on_the_event_loop() {
         // Node 1 resets its connection to node 0 after 5 frames; with
         // recovery on, the loop's reconnect timer re-dials and replays
-        // the unacked tail. All 50 messages arrive in order, once.
+        // the unacked tail. All 50 messages arrive in order, once. The
+        // fifth sender-side write enacts the reset.
         let faults =
             FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 5, action: FaultAction::ResetConn });
         let topo = Topology::new(2, 1);

@@ -4,18 +4,18 @@
 //! exhibits: a node process dies, a connection is reset mid-stream, a
 //! slow writer stalls a collective. To make those failure modes
 //! *deterministic and testable*, a [`FaultPlan`] scripts per-peer faults
-//! that the fabric's writer threads (and the boot dialer) enact at exact
+//! that the fabric's peer links (and the boot dialer) enact at exact
 //! points in the frame stream. The plan travels inside `ArmciCfg`, so a
 //! spawned node process receives its share of the script through the
 //! launch payload like any other configuration.
 //!
 //! | action                                 | enacted by      | observable effect                                  |
 //! |----------------------------------------|-----------------|----------------------------------------------------|
-//! | [`FaultAction::ResetConn`]             | writer thread   | abrupt socket shutdown; peer sees EOF/reset        |
-//! | [`FaultAction::TruncateFrame`]         | writer thread   | partial header then shutdown; peer sees mid-frame EOF |
-//! | [`FaultAction::StallWriter`]           | writer thread   | one-shot delay before a frame (slow-writer stall)  |
+//! | [`FaultAction::ResetConn`]             | peer link       | abrupt socket shutdown; peer sees EOF/reset        |
+//! | [`FaultAction::TruncateFrame`]         | peer link       | partial header then shutdown; peer sees mid-frame EOF |
+//! | [`FaultAction::StallWriter`]           | peer link       | one-shot delay before a frame (slow-writer stall)  |
 //! | [`FaultAction::DialFail`]              | boot dialer     | first `times` dial attempts fail (exercises retry) |
-//! | [`FaultAction::KillNode`]              | writer thread   | node process aborts (spawned) / all links cut (loopback) |
+//! | [`FaultAction::KillNode`]              | peer link       | node process aborts (spawned) / all links cut (loopback) |
 
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -30,9 +30,10 @@ pub enum FaultAction {
     /// down: the peer's reader observes EOF *mid-frame*, the signature of
     /// a crashed writer (distinct from clean teardown EOF).
     TruncateFrame,
-    /// Sleep this many milliseconds before writing the trigger frame,
-    /// once. Models a descheduled/overloaded writer; the run should still
-    /// complete if timeouts are generous.
+    /// Hold the trigger frame, and every frame after it on this
+    /// connection, for this many milliseconds, once. Models a
+    /// descheduled/overloaded writer; the run should still complete if
+    /// timeouts are generous.
     StallWriter {
         /// Stall duration in milliseconds.
         millis: u64,
@@ -92,7 +93,7 @@ impl FaultPlan {
     }
 
     /// The wire-path faults (everything except dial faults) that `node`'s
-    /// writer threads must enact, keyed by target peer.
+    /// peer links must enact, keyed by target peer.
     pub fn wire_faults_for(&self, node: u32) -> Vec<FaultSpec> {
         self.entries
             .iter()

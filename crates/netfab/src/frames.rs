@@ -1,48 +1,21 @@
-//! The one frame read/decode/ingest path shared by both IO drivers.
+//! The frame read/decode/ingest path of the event loop.
 //!
-//! The threaded driver reads with blocking calls ([`read_transmission`]);
-//! the event-loop driver reads incrementally from nonblocking sockets
+//! The loop reads incrementally from nonblocking sockets
 //! ([`FrameDecoder`]), parking mid-field on `WouldBlock` and resuming on
-//! the next readable event. Both decode through the same
-//! [`wire::parse_preamble`] / [`wire::parse_header`] primitives and both
-//! feed [`session_step`] for the session-layer bookkeeping (ack
-//! accounting, replay dedup by sequence number, desync detection), so the
-//! drivers cannot drift semantically.
-//!
-//! Outgoing frames are encoded once by [`encode_frame`] into an
-//! `Arc<Vec<u8>>` — the exact representation the session replay ring
-//! stores — so a frame is serialized exactly once no matter how many
-//! times a reconnect replays it.
+//! the next readable event. It decodes through the
+//! [`wire::parse_preamble`] / [`wire::parse_header`] primitives and feeds
+//! [`session_step`] for the session-layer bookkeeping (ack accounting,
+//! replay dedup by sequence number, desync detection). Outgoing frames
+//! are encoded by [`crate::link`].
 
 use std::io::{self, Read};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use armci_transport::{endpoint_index, Body, BodyPool, Endpoint, Msg, Tag, Topology};
+use armci_transport::{endpoint_index, Body, BodyPool, Msg, Topology};
 use crossbeam_channel::Sender;
 
 use crate::session::Session;
 use crate::wire::{self, FrameHeader, HEADER_LEN, PREAMBLE_LEN};
-
-/// One decoded unit off the stream: a session preamble, plus the data
-/// frame it announced (absent for bare-ack transmissions). `Ok(None)` is
-/// clean EOF at a transmission boundary.
-pub(crate) fn read_transmission(
-    r: &mut impl Read,
-    topo: &Topology,
-    pool: &mut BodyPool,
-) -> io::Result<Option<(wire::Preamble, Option<wire::Frame>)>> {
-    let Some(p) = wire::read_preamble(r)? else {
-        return Ok(None);
-    };
-    match p {
-        wire::Preamble::Ack { .. } => Ok(Some((p, None))),
-        wire::Preamble::Data { .. } => match wire::read_frame(r, topo, pool)? {
-            Some(f) => Ok(Some((p, Some(f)))),
-            None => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed after data preamble")),
-        },
-    }
-}
 
 /// Progress of one [`FrameDecoder::poll_step`] call.
 pub(crate) enum Progress {
@@ -74,10 +47,10 @@ enum Fill {
 /// split over many readable events decodes exactly once.
 ///
 /// Completed bodies land in [`BodyPool`] buffers (inline for small
-/// payloads), keeping the zero-copy apply path downstream; the cost over
-/// the blocking reader is one copy out of the decoder's reusable body
-/// scratch for payloads above the inline cap, since a pool buffer cannot
-/// be held open across loop iterations.
+/// payloads), keeping the zero-copy apply path downstream, at the cost of
+/// one copy out of the decoder's reusable body scratch for payloads above
+/// the inline cap, since a pool buffer cannot be held open across loop
+/// iterations.
 pub(crate) struct FrameDecoder {
     state: State,
     /// Scratch for the fixed-size preamble/header fields.
@@ -193,8 +166,7 @@ pub(crate) enum SessionStep {
 }
 
 /// The session-layer bookkeeping every received transmission goes
-/// through, identical for both IO drivers: record peer liveness and
-/// acks, deduplicate replays by sequence, detect desync, advance the
+/// through: record peer liveness and acks, deduplicate replays by sequence, detect desync, advance the
 /// delivery cursor.
 pub(crate) fn session_step(sess: &Session, recovery: bool, p: wire::Preamble) -> SessionStep {
     match p {
@@ -232,21 +204,10 @@ pub(crate) fn deliver(topo: &Topology, local_txs: &[Option<Sender<Msg>>], f: wir
     }
 }
 
-/// Encode one outgoing frame (header + body, no preamble — the preamble
-/// is rewritten per transmission so replays carry fresh acks) in the
-/// shareable form the replay ring stores. `None` only if encoding into a
-/// `Vec` failed, which cannot happen in practice.
-pub(crate) fn encode_frame(dst: Endpoint, src: Endpoint, tag: Tag, body: &[u8]) -> Option<Arc<Vec<u8>>> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + body.len());
-    wire::write_frame(&mut buf, dst, src, tag, body).ok()?;
-    Some(Arc::new(buf))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armci_transport::{NodeId, ProcId};
-    use std::io::Write;
+    use armci_transport::{Endpoint, NodeId, ProcId, Tag};
 
     /// Feeds an inner byte stream in `chunk`-sized slices, interposing a
     /// `WouldBlock` after every chunk — a worst-case nonblocking socket.
@@ -283,8 +244,23 @@ mod tests {
         (topo, buf)
     }
 
+    /// Decode a whole in-memory stream (a slice reader never blocks).
+    fn decode_all(buf: &[u8], topo: &Topology) -> Vec<(wire::Preamble, Option<wire::Frame>)> {
+        let mut dec = FrameDecoder::new();
+        let mut pool = BodyPool::new(4);
+        let mut r = buf;
+        let mut out = Vec::new();
+        loop {
+            match dec.poll_step(&mut r, topo, &mut pool).unwrap() {
+                Progress::Item(p, f) => out.push((p, f)),
+                Progress::CleanEof => return out,
+                Progress::NeedMore => unreachable!("slice reader never WouldBlocks"),
+            }
+        }
+    }
+
     #[test]
-    fn incremental_decode_matches_blocking_reader_byte_by_byte() {
+    fn incremental_decode_matches_whole_stream_decode_byte_by_byte() {
         let (topo, buf) = sample_stream();
         for chunk in [1usize, 2, 7, 64] {
             let mut dec = FrameDecoder::new();
@@ -302,13 +278,9 @@ mod tests {
                     Progress::CleanEof => unreachable!(),
                 }
             }
-            // Blocking reference decode of the same stream.
-            let mut rr = &buf[..];
-            let mut rpool = BodyPool::new(4);
-            let mut expect = Vec::new();
-            while let Some(item) = read_transmission(&mut rr, &topo, &mut rpool).unwrap() {
-                expect.push(item);
-            }
+            // Reference decode of the same stream in one piece.
+            let expect = decode_all(&buf, &topo);
+            assert_eq!(expect.len(), 3);
             assert_eq!(items.len(), expect.len(), "chunk {chunk}");
             for ((p1, f1), (p2, f2)) in items.iter().zip(&expect) {
                 assert_eq!(p1, p2);
@@ -381,7 +353,7 @@ mod tests {
 
     #[test]
     fn session_step_dedups_and_detects_desync() {
-        let sess = Session::new(1, None);
+        let sess = Session::new(None);
         // In-order data advances the cursor and delivers.
         assert_eq!(session_step(&sess, true, wire::Preamble::Data { seq: 1, ack: 0 }), SessionStep::Deliver);
         assert_eq!(session_step(&sess, true, wire::Preamble::Data { seq: 2, ack: 0 }), SessionStep::Deliver);
@@ -392,22 +364,7 @@ mod tests {
         // Bare acks are skipped but note liveness/acks.
         assert_eq!(session_step(&sess, true, wire::Preamble::Ack { ack: 0 }), SessionStep::Skip);
         // Without recovery everything data is delivered verbatim.
-        let plain = Session::new(1, None);
+        let plain = Session::new(None);
         assert_eq!(session_step(&plain, false, wire::Preamble::Data { seq: 9, ack: 0 }), SessionStep::Deliver);
-    }
-
-    #[test]
-    fn encode_frame_roundtrips_through_the_decoder() {
-        let topo = Topology::new(2, 1);
-        let enc = encode_frame(Endpoint::Proc(ProcId(1)), Endpoint::Proc(ProcId(0)), Tag(3), &[9; 80]).unwrap();
-        let mut stream = Vec::new();
-        wire::write_preamble(&mut stream, wire::Preamble::Data { seq: 1, ack: 0 }).unwrap();
-        stream.write_all(&enc).unwrap();
-        let mut pool = BodyPool::new(2);
-        let item = read_transmission(&mut &stream[..], &topo, &mut pool).unwrap().unwrap();
-        let f = item.1.unwrap();
-        assert_eq!(f.dst, Endpoint::Proc(ProcId(1)));
-        assert_eq!(f.tag, Tag(3));
-        assert_eq!(&f.body[..], &[9; 80]);
     }
 }

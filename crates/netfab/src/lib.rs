@@ -18,12 +18,13 @@
 //!   listener address and broadcasts the table, then the nodes form a
 //!   full TCP mesh directly;
 //! * [`fabric`] — [`NodeFabric`]: per-endpoint inboxes behind the
-//!   [`armci_transport::MailboxBackend`] contract, fed by one of two IO
-//!   drivers ([`IoDriver`]): the legacy *threaded* model (one blocking
-//!   reader + writer thread per peer) or the default *event loop* (one
-//!   nonblocking `poll(2)` loop per node owning every peer socket — O(1)
-//!   threads regardless of cluster size, with write coalescing, idle
-//!   heartbeats and reconnect driving all on a single timer wheel);
+//!   [`armci_transport::MailboxBackend`] contract. A sending thread
+//!   encodes its frame into the peer link's shared output buffer and
+//!   writes small frames itself; one nonblocking `poll(2)` event loop per
+//!   node reads every peer socket and does the writes senders leave to
+//!   it (large frames, partial writes, replays) — one IO thread per node
+//!   regardless of cluster size, with idle heartbeats and reconnect
+//!   driving on a single timer wheel;
 //! * [`launch`] — helpers for spawning one process per node (used by the
 //!   `armci-launch` tool and `armci-core`'s self-spawning
 //!   `run_cluster_spawned`).
@@ -35,25 +36,25 @@
 //! both; timing assertions belong on the emulator or the `armci-simnet`
 //! discrete-event simulator.
 
+#[cfg(not(unix))]
+compile_error!("armci-netfab needs a unix host: its event loop calls poll(2) and connect(2) directly");
+
 pub mod boot;
-#[cfg(unix)]
 mod dial;
-#[cfg(unix)]
 mod event_loop;
 pub mod fabric;
 pub mod fault;
 mod frames;
 pub mod launch;
-#[cfg(unix)]
+mod link;
 mod poller;
 pub mod retry;
 pub mod session;
-#[cfg(unix)]
 mod timer;
 pub mod wire;
 
 pub use boot::{coordinate, coordinate_deadline, join_mesh, join_mesh_opts, BootOpts, Mesh};
-pub use fabric::{IoDriver, NetMailbox, NetOpts, NodeFabric};
+pub use fabric::{NetMailbox, NetOpts, NodeFabric};
 pub use fault::{FaultAction, FaultPlan, FaultSpec};
 pub use launch::{
     bind_rendezvous, kill_nodes, node_spec_from_env, spawn_nodes, wait_nodes, wait_nodes_deadline, NodeSpec,

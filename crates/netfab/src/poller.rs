@@ -1,4 +1,4 @@
-//! A minimal readiness poller for the event-loop IO driver.
+//! A minimal readiness poller for the event loop.
 //!
 //! Hand-rolled over `poll(2)` — consistent with the repo's vendored-serde
 //! stance, no `mio`/`libc` dependency. The fd set is tiny (one socket per
@@ -6,13 +6,13 @@
 //! list is simply rebuilt before every call; at 64 peers that is a
 //! sub-microsecond copy, far below the syscall itself.
 //!
-//! [`WakePipe`] is the cross-thread doorbell: mailbox `send()` runs on
-//! arbitrary user threads while the loop sleeps in `poll`, so the sender
-//! writes one byte into a nonblocking [`UnixStream`] pair. An atomic
-//! "already pending" flag coalesces the byte: a burst of sends costs one
-//! wake syscall, not one per message.
-
-#![cfg(unix)]
+//! [`WakePipe`] is the cross-thread doorbell: a sender that leaves a
+//! write to the loop (a large frame, a partial write) runs on an
+//! arbitrary user thread while the loop sleeps in `poll`, so it writes
+//! one byte into a nonblocking [`UnixStream`] pair. An atomic "already
+//! pending" flag coalesces the byte: a burst of such sends costs one wake
+//! syscall, not one per message. Small frames need no doorbell at all:
+//! their senders write them.
 
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};

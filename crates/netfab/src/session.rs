@@ -1,5 +1,5 @@
-//! Per-peer-pair sessions: the recovery layer between the fabric's IO
-//! threads and raw TCP streams.
+//! Per-peer-pair sessions: the recovery layer between the fabric's
+//! links and raw TCP streams.
 //!
 //! A [`Session`] outlives any one TCP connection to its peer. Every data
 //! frame carries a session sequence number and every transmission
@@ -31,11 +31,12 @@
 //! stay lock-free.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use crate::wire;
 
 /// Session-layer knobs, carried in [`crate::NetOpts`].
 #[derive(Clone, Debug)]
@@ -44,7 +45,7 @@ pub struct SessionCfg {
     /// fault plane: any connection error permanently poisons the peer.
     pub recovery: bool,
     /// How often an idle link emits a bare ack/heartbeat, and the
-    /// granularity at which the writer thread re-checks session health.
+    /// granularity at which the event loop re-checks session health.
     pub heartbeat_interval: Duration,
     /// Silence (or failed reconnection) budget before a suspect peer is
     /// declared dead.
@@ -77,12 +78,12 @@ pub(crate) const SESS_DEAD: u8 = 3;
 
 /// Mutable session core, guarded by [`Session::inner`].
 pub(crate) struct SessionInner {
-    /// The live stream, if any. IO threads clone their own handles and
-    /// keep using them until an error; this one is retained so state
-    /// transitions can `shutdown` it and wake blocked readers/writers.
+    /// The live stream, if any. The link and the event loop clone their
+    /// own handles and keep using them until an error; this one is
+    /// retained so state transitions can `shutdown` it.
     pub stream: Option<TcpStream>,
-    /// Bumped every time a replacement stream is installed; IO threads
-    /// compare against their cached value to learn of reconnects.
+    /// Bumped every time a replacement stream is installed; the event
+    /// loop compares against its cached value to learn of reconnects.
     pub stream_gen: u64,
     /// Monotonic count of successful (re)connections for this session.
     pub epoch: u64,
@@ -93,20 +94,16 @@ pub(crate) struct SessionInner {
     /// Encoded-but-unacked outgoing frames (header + body, no preamble —
     /// the preamble is rewritten at each transmission so replays carry
     /// fresh acks), for idempotent replay after a reconnect.
-    pub ring: VecDeque<Arc<Vec<u8>>>,
+    pub ring: VecDeque<Vec<u8>>,
     /// When the session first dropped to suspect (cleared on reconnect).
     pub suspect_since: Option<Instant>,
-    /// Set when the local fabric is tearing down: parked IO threads must
-    /// exit instead of waiting for a reconnect.
+    /// Set when the local fabric is tearing down: no more reconnects.
     pub teardown: bool,
 }
 
-/// One peer-pair session. Shared by the peer's writer thread, reader
-/// thread, the fabric's accept loop, and every local mailbox (for
-/// `lost_peers`).
+/// One peer-pair session. Shared by the peer's link, the event loop,
+/// and every local mailbox (for `lost_peers`).
 pub(crate) struct Session {
-    /// Peer node index.
-    pub peer: usize,
     /// Current state (`SESS_*`), readable lock-free.
     pub state: AtomicU8,
     /// Highest contiguous data-frame sequence delivered from the peer
@@ -115,7 +112,7 @@ pub(crate) struct Session {
     /// Highest own sequence the peer has cumulatively acked.
     pub peer_acked: AtomicU64,
     /// Last time we heard anything from the peer, as milliseconds since
-    /// `born` (atomic so the writer's staleness check is lock-free).
+    /// `born` (atomic so the staleness check is lock-free).
     pub heard_at_ms: AtomicU64,
     /// Bare ack / heartbeat transmissions emitted on this session
     /// (observability: the heartbeat-under-load test reads it).
@@ -123,8 +120,6 @@ pub(crate) struct Session {
     /// Session creation time, the epoch for `heard_at_ms`.
     pub born: Instant,
     pub inner: Mutex<SessionInner>,
-    /// Signalled on stream install, ring pruning, and terminal states.
-    pub cv: Condvar,
 }
 
 /// Why [`Session::try_enqueue`] could not assign a sequence number.
@@ -136,14 +131,9 @@ pub(crate) enum EnqueueError {
     Terminal,
 }
 
-/// An encoded frame scheduled for (re)transmission: its sequence number
-/// and the header+body bytes.
-pub(crate) type RingFrame = (u64, Arc<Vec<u8>>);
-
 impl Session {
-    pub fn new(peer: usize, stream: Option<TcpStream>) -> Arc<Session> {
+    pub fn new(stream: Option<TcpStream>) -> Arc<Session> {
         Arc::new(Session {
-            peer,
             state: AtomicU8::new(SESS_UP),
             recv_cursor: AtomicU64::new(0),
             peer_acked: AtomicU64::new(0),
@@ -160,7 +150,6 @@ impl Session {
                 suspect_since: None,
                 teardown: false,
             }),
-            cv: Condvar::new(),
         })
     }
 
@@ -180,7 +169,7 @@ impl Session {
     }
 
     /// Record evidence of peer liveness plus its cumulative ack, pruning
-    /// the replay ring and waking any writer blocked on a full ring.
+    /// the replay ring.
     pub fn note_heard(&self, ack: u64) {
         let now_ms = self.born.elapsed().as_millis() as u64;
         self.heard_at_ms.fetch_max(now_ms, Ordering::Relaxed);
@@ -189,7 +178,6 @@ impl Session {
             if let Ok(mut inner) = self.inner.lock() {
                 Self::prune_ring(&mut inner, ack);
             }
-            self.cv.notify_all();
         }
     }
 
@@ -201,7 +189,7 @@ impl Session {
     }
 
     /// Terminal transition: the peer is gone for good. Shuts down any
-    /// live stream so blocked IO threads wake up.
+    /// live stream.
     pub fn mark_dead(&self) {
         self.mark_terminal(SESS_DEAD);
     }
@@ -222,10 +210,9 @@ impl Session {
                 let _ = s.shutdown(Shutdown::Both);
             }
         }
-        self.cv.notify_all();
     }
 
-    /// An IO thread observed a connection error on stream generation
+    /// The event loop observed a connection error on stream generation
     /// `gen`: drop to suspect (starting the `suspect_after` clock) unless
     /// the session is already terminal or the stream was already
     /// replaced. Returns false if the session is terminal.
@@ -244,8 +231,6 @@ impl Session {
         if let Some(s) = inner.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        drop(inner);
-        self.cv.notify_all();
         true
     }
 
@@ -268,54 +253,14 @@ impl Session {
         inner.suspect_since = None;
         self.heard_at_ms.fetch_max(self.born.elapsed().as_millis() as u64, Ordering::Relaxed);
         self.state.store(SESS_UP, Ordering::Release);
-        drop(inner);
-        self.cv.notify_all();
         true
     }
 
-    /// Assign the next outgoing sequence number and, when recovery is on,
-    /// append the encoded frame to the replay ring — blocking (bounded by
-    /// `suspect_after`) if the ring is full until the peer acks progress.
-    /// Returns the assigned sequence, or `None` if the session went
-    /// terminal while waiting (the caller should stop sending).
-    pub fn enqueue(&self, cfg: &SessionCfg, encoded: Arc<Vec<u8>>) -> Option<u64> {
-        let Ok(mut inner) = self.inner.lock() else { return None };
-        if cfg.recovery {
-            let deadline = Instant::now() + cfg.suspect_after;
-            while inner.ring.len() >= cfg.replay_window.max(1) {
-                if self.is_terminal() || inner.teardown {
-                    return None;
-                }
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    drop(inner);
-                    // No ack progress for a whole suspect window with a
-                    // full ring: the peer is not consuming. Give up.
-                    self.mark_dead();
-                    return None;
-                }
-                let Ok((guard, _)) = self.cv.wait_timeout(inner, remaining.min(Duration::from_millis(50))) else {
-                    return None;
-                };
-                inner = guard;
-                Self::prune_ring(&mut inner, self.peer_acked.load(Ordering::Acquire));
-            }
-        }
-        inner.next_seq += 1;
-        let seq = inner.next_seq;
-        if cfg.recovery {
-            debug_assert_eq!(inner.ring_first + inner.ring.len() as u64, seq);
-            inner.ring.push_back(encoded);
-        }
-        Some(seq)
-    }
-
-    /// Nonblocking [`Session::enqueue`]: assign the next sequence number
-    /// (ringing the frame when recovery is on) or report why not. Used by
-    /// the event-loop driver, which must never park on a condvar — a full
-    /// ring is retried after the next ack arrives (ack arrival is a
-    /// readable event on the same loop).
-    pub fn try_enqueue(&self, cfg: &SessionCfg, encoded: Arc<Vec<u8>>) -> Result<u64, EnqueueError> {
+    /// Assign the next outgoing sequence number to the encoded frame
+    /// (header + body) and, when recovery is on, ring a copy of it for
+    /// replay — or report why not. Never blocks: a full ring is retried
+    /// after the next ack arrives (a readable event on the event loop).
+    pub fn try_enqueue(&self, cfg: &SessionCfg, frame: &[u8]) -> Result<u64, EnqueueError> {
         let Ok(mut inner) = self.inner.lock() else { return Err(EnqueueError::Terminal) };
         if self.is_terminal() {
             return Err(EnqueueError::Terminal);
@@ -323,11 +268,11 @@ impl Session {
         if cfg.recovery {
             Self::prune_ring(&mut inner, self.peer_acked.load(Ordering::Acquire));
             if inner.ring.len() >= cfg.replay_window.max(1) {
-                // Teardown began with the ring still full: parity with the
-                // blocking `enqueue` giving up its ring wait. A teardown
-                // with ring room keeps accepting — messages queued before
-                // `begin_teardown` must still reach the peer (the fabric
-                // flags teardown *before* the loop drains the channel).
+                // Teardown began with the ring still full: give up. A
+                // teardown with ring room keeps accepting — messages sent
+                // before `begin_teardown` must still reach the peer (the
+                // fabric flags teardown *before* the loop drains the
+                // backlog).
                 return Err(if inner.teardown { EnqueueError::Terminal } else { EnqueueError::Full });
             }
         }
@@ -335,7 +280,7 @@ impl Session {
         let seq = inner.next_seq;
         if cfg.recovery {
             debug_assert_eq!(inner.ring_first + inner.ring.len() as u64, seq);
-            inner.ring.push_back(encoded);
+            inner.ring.push_back(frame.to_vec());
         }
         Ok(seq)
     }
@@ -346,18 +291,20 @@ impl Session {
         self.inner.lock().map(|i| i.teardown).unwrap_or(true)
     }
 
-    /// Snapshot every unacked ring frame (sequence > the peer's
-    /// cumulative ack) for replay over a fresh stream.
-    pub fn unacked(&self) -> Vec<RingFrame> {
-        let Ok(inner) = self.inner.lock() else { return Vec::new() };
+    /// Append every unacked ring frame (sequence > the peer's
+    /// cumulative ack) to `out` for replay over a fresh stream, each
+    /// under a preamble carrying the current delivered cursor.
+    pub fn replay_into(&self, out: &mut Vec<u8>) {
+        let Ok(inner) = self.inner.lock() else { return };
         let acked = self.peer_acked.load(Ordering::Acquire);
-        inner
-            .ring
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (inner.ring_first + i as u64, f.clone()))
-            .filter(|(seq, _)| *seq > acked)
-            .collect()
+        let ack = self.recv_cursor.load(Ordering::Acquire);
+        for (i, f) in inner.ring.iter().enumerate() {
+            let seq = inner.ring_first + i as u64;
+            if seq > acked {
+                let _ = wire::write_preamble(out, wire::Preamble::Data { seq, ack });
+                out.extend_from_slice(f);
+            }
+        }
     }
 
     /// Clone a handle to the current stream if its generation is newer
@@ -372,49 +319,17 @@ impl Session {
         Some(s)
     }
 
-    /// Block until a stream newer than `cached_gen` is installed, the
-    /// session goes terminal, or teardown starts. Used by the reader (and
-    /// the lower-numbered node's writer) while the dialing side
-    /// re-establishes the connection.
-    pub fn wait_for_stream(&self, cached_gen: &mut u64, poll: Duration) -> Option<TcpStream> {
-        let Ok(mut inner) = self.inner.lock() else { return None };
-        loop {
-            if self.is_terminal() || inner.teardown {
-                return None;
-            }
-            if inner.stream_gen != *cached_gen {
-                if let Some(s) = inner.stream.as_ref().and_then(|s| s.try_clone().ok()) {
-                    *cached_gen = inner.stream_gen;
-                    return Some(s);
-                }
-            }
-            let Ok((guard, _)) = self.cv.wait_timeout(inner, poll) else { return None };
-            inner = guard;
-        }
-    }
-
     /// The reconnect deadline for the current suspicion, if suspect.
     pub fn suspect_deadline(&self, cfg: &SessionCfg) -> Option<Instant> {
         let Ok(inner) = self.inner.lock() else { return None };
         inner.suspect_since.map(|t| t + cfg.suspect_after)
     }
 
-    /// Park briefly on the session condvar (woken early by installs,
-    /// acks, terminal transitions, or teardown). Used by the passive side
-    /// of a reconnect, which waits for the accept loop to install the
-    /// replacement stream.
-    pub fn wait_briefly(&self, d: Duration) {
-        if let Ok(inner) = self.inner.lock() {
-            let _ = self.cv.wait_timeout(inner, d);
-        }
-    }
-
-    /// Flag teardown and wake every parked IO thread.
+    /// Flag teardown: no more reconnects.
     pub fn begin_teardown(&self) {
         if let Ok(mut inner) = self.inner.lock() {
             inner.teardown = true;
         }
-        self.cv.notify_all();
     }
 
     /// Current reconnection epoch (test observability).
@@ -422,105 +337,6 @@ impl Session {
     pub fn epoch(&self) -> u64 {
         self.inner.lock().map(|i| i.epoch).unwrap_or(0)
     }
-}
-
-/// Reconnect hello magic word (suspect dialer → accepting peer).
-pub(crate) const MAGIC_RECONNECT: u32 = 0x4152_4d03;
-
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Dial `addr` and run the reconnect handshake as node `my_node`,
-/// advertising our delivered cursor. On success returns the stream (in
-/// blocking mode) and the peer's delivered cursor for our frames.
-///
-/// An explicit rejection (the peer has already declared us — or itself —
-/// dead) surfaces as `ConnectionAborted`, which callers treat as
-/// terminal rather than retrying.
-#[deny(clippy::unwrap_used, clippy::expect_used)] // reconnect wire path: failures must surface as io::Error
-pub(crate) fn reconnect_dial(
-    addr: &str,
-    my_node: u32,
-    my_cursor: u64,
-    deadline: Instant,
-) -> io::Result<(TcpStream, u64)> {
-    let mut s = TcpStream::connect(addr)?;
-    s.set_nodelay(true)?;
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err(io::Error::new(io::ErrorKind::TimedOut, "reconnect deadline expired"));
-    }
-    s.set_read_timeout(Some(remaining))?;
-    write_u32(&mut s, MAGIC_RECONNECT)?;
-    write_u32(&mut s, my_node)?;
-    write_u64(&mut s, my_cursor)?;
-    s.flush()?;
-    let status = read_u32(&mut s)?;
-    if status != 0 {
-        return Err(io::Error::new(io::ErrorKind::ConnectionAborted, "peer rejected reconnect (session dead)"));
-    }
-    let peer_cursor = read_u64(&mut s)?;
-    s.set_read_timeout(None)?;
-    Ok((s, peer_cursor))
-}
-
-/// Outcome the accept side reports for an incoming reconnect hello.
-pub(crate) struct ReconnectHello {
-    /// The dialing peer's node id.
-    pub peer: u32,
-    /// The dialer's delivered cursor for our frames.
-    pub peer_cursor: u64,
-}
-
-/// Read a reconnect hello from an accepted stream (reads bounded by
-/// `handshake_timeout` so a stuck dialer cannot wedge the accept loop).
-#[deny(clippy::unwrap_used, clippy::expect_used)] // reconnect wire path: failures must surface as io::Error
-pub(crate) fn read_reconnect_hello(s: &mut TcpStream, handshake_timeout: Duration) -> io::Result<ReconnectHello> {
-    s.set_nodelay(true)?;
-    s.set_read_timeout(Some(handshake_timeout))?;
-    let magic = read_u32(s)?;
-    if magic != MAGIC_RECONNECT {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, format!("bad reconnect magic {magic:#x}")));
-    }
-    let peer = read_u32(s)?;
-    let peer_cursor = read_u64(s)?;
-    Ok(ReconnectHello { peer, peer_cursor })
-}
-
-/// Accept-side reply: accept the reconnect, reporting our delivered
-/// cursor, and return the stream to blocking mode.
-#[deny(clippy::unwrap_used, clippy::expect_used)] // reconnect wire path: failures must surface as io::Error
-pub(crate) fn accept_reconnect(s: &mut TcpStream, my_cursor: u64) -> io::Result<()> {
-    write_u32(s, 0)?;
-    write_u64(s, my_cursor)?;
-    s.flush()?;
-    s.set_read_timeout(None)
-}
-
-/// Accept-side reply: reject the reconnect (session already terminal or
-/// this node is soft-killed).
-#[deny(clippy::unwrap_used, clippy::expect_used)] // reconnect wire path: failures must surface as io::Error
-pub(crate) fn reject_reconnect(s: &mut TcpStream) {
-    let _ = write_u32(s, 1);
-    let _ = s.flush();
-    let _ = s.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
@@ -537,53 +353,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn enqueue_rings_only_with_recovery_and_prunes_on_ack() {
-        let sess = Session::new(1, None);
-        let on = cfg(true, 8);
-        for i in 1..=5u64 {
-            assert_eq!(sess.enqueue(&on, Arc::new(vec![i as u8])), Some(i));
+    /// Sequence numbers `replay_into` would replay, read back through the
+    /// wire decoder.
+    fn replayed(sess: &Session) -> Vec<u64> {
+        let mut buf = Vec::new();
+        sess.replay_into(&mut buf);
+        let mut seqs = Vec::new();
+        let mut r = &buf[..];
+        while let Some(wire::Preamble::Data { seq, .. }) = wire::read_preamble(&mut r).unwrap() {
+            let mut frame = [0u8; 1];
+            std::io::Read::read_exact(&mut r, &mut frame).unwrap();
+            assert_eq!(frame[0], seq as u8, "ringed bytes travel with their sequence number");
+            seqs.push(seq);
         }
-        assert_eq!(sess.unacked().len(), 5);
-        sess.note_heard(3);
-        let left = sess.unacked();
-        assert_eq!(left.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![4, 5]);
-        // Without recovery sequences still advance but nothing is ringed.
-        let sess2 = Session::new(1, None);
-        let off = cfg(false, 8);
-        assert_eq!(sess2.enqueue(&off, Arc::new(vec![1])), Some(1));
-        assert_eq!(sess2.enqueue(&off, Arc::new(vec![2])), Some(2));
-        assert!(sess2.unacked().is_empty());
+        seqs
     }
 
     #[test]
-    fn full_ring_blocks_until_acked_and_dies_without_progress() {
-        let sess = Session::new(1, None);
+    fn enqueue_rings_only_with_recovery_and_prunes_on_ack() {
+        let sess = Session::new(None);
+        let on = cfg(true, 8);
+        for i in 1..=5u64 {
+            assert_eq!(sess.try_enqueue(&on, &[i as u8]), Ok(i));
+        }
+        assert_eq!(replayed(&sess), vec![1, 2, 3, 4, 5]);
+        sess.note_heard(3);
+        assert_eq!(replayed(&sess), vec![4, 5]);
+        // Without recovery sequences still advance but nothing is ringed.
+        let sess2 = Session::new(None);
+        let off = cfg(false, 8);
+        assert_eq!(sess2.try_enqueue(&off, &[1]), Ok(1));
+        assert_eq!(sess2.try_enqueue(&off, &[2]), Ok(2));
+        assert!(replayed(&sess2).is_empty());
+    }
+
+    #[test]
+    fn full_ring_refuses_until_acked_and_gives_up_at_teardown() {
+        let sess = Session::new(None);
         let c = cfg(true, 2);
-        assert_eq!(sess.enqueue(&c, Arc::new(vec![1])), Some(1));
-        assert_eq!(sess.enqueue(&c, Arc::new(vec![2])), Some(2));
-        // A concurrent ack unblocks the third enqueue.
-        let s2 = sess.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            s2.note_heard(1);
-        });
-        assert_eq!(sess.enqueue(&c, Arc::new(vec![3])), Some(3));
-        t.join().unwrap();
-        // The ring is full again ([2, 3]) with nobody acking: the next
-        // enqueue must give up within the suspect window and declare the
-        // peer dead.
-        let t0 = Instant::now();
-        assert_eq!(sess.enqueue(&c, Arc::new(vec![4])), None);
-        assert!(t0.elapsed() >= c.suspect_after);
-        assert_eq!(sess.state(), SESS_DEAD);
+        assert_eq!(sess.try_enqueue(&c, &[1]), Ok(1));
+        assert_eq!(sess.try_enqueue(&c, &[2]), Ok(2));
+        assert_eq!(sess.try_enqueue(&c, &[3]), Err(EnqueueError::Full));
+        // An ack makes room.
+        sess.note_heard(1);
+        assert_eq!(sess.try_enqueue(&c, &[3]), Ok(3));
+        // Full again ([2, 3]); once teardown begins, a full ring is final.
+        sess.begin_teardown();
+        assert_eq!(sess.try_enqueue(&c, &[4]), Err(EnqueueError::Terminal));
+        sess.mark_dead();
+        assert_eq!(sess.try_enqueue(&c, &[4]), Err(EnqueueError::Terminal));
     }
 
     #[test]
     fn suspect_then_install_returns_to_up_and_bumps_epoch() {
         let a = TcpListener::bind("127.0.0.1:0").unwrap();
         let s1 = TcpStream::connect(a.local_addr().unwrap()).unwrap();
-        let sess = Session::new(0, Some(s1));
+        let sess = Session::new(Some(s1));
         assert_eq!(sess.state(), SESS_UP);
         assert!(sess.mark_suspect(1));
         assert_eq!(sess.state(), SESS_SUSPECT);
@@ -599,7 +424,7 @@ mod tests {
 
     #[test]
     fn terminal_states_win_and_reject_installs() {
-        let sess = Session::new(0, None);
+        let sess = Session::new(None);
         sess.mark_closed();
         assert_eq!(sess.state(), SESS_CLOSED);
         sess.mark_dead();
@@ -608,28 +433,5 @@ mod tests {
         let a = TcpListener::bind("127.0.0.1:0").unwrap();
         let s = TcpStream::connect(a.local_addr().unwrap()).unwrap();
         assert!(!sess.install_stream(s, 0));
-    }
-
-    #[test]
-    fn reconnect_handshake_roundtrip_and_rejection() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        // Accepted dial.
-        let t = std::thread::spawn(move || reconnect_dial(&addr, 2, 41, deadline));
-        let (mut srv, _) = listener.accept().unwrap();
-        let hello = read_reconnect_hello(&mut srv, Duration::from_secs(5)).unwrap();
-        assert_eq!((hello.peer, hello.peer_cursor), (2, 41));
-        accept_reconnect(&mut srv, 17).unwrap();
-        let (_s, peer_cursor) = t.join().unwrap().unwrap();
-        assert_eq!(peer_cursor, 17);
-        // Rejected dial surfaces as ConnectionAborted (terminal).
-        let addr = listener.local_addr().unwrap().to_string();
-        let t = std::thread::spawn(move || reconnect_dial(&addr, 2, 0, deadline));
-        let (mut srv, _) = listener.accept().unwrap();
-        read_reconnect_hello(&mut srv, Duration::from_secs(5)).unwrap();
-        reject_reconnect(&mut srv);
-        let err = t.join().unwrap().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionAborted);
     }
 }

@@ -1,21 +1,19 @@
-//! Thread-budget contract of the two netfab IO drivers, counted against
-//! the live process via `/proc/self/task`.
+//! Thread-budget contract of netfab, counted against the live process
+//! via `/proc/self/task`.
 //!
-//! The event-loop driver's reason to exist is O(1) IO threads per node:
-//! one `netfab-ev*` loop thread owns every peer socket, regardless of
-//! cluster size — reconnect handshakes included, since both sides run as
-//! nonblocking state machines on the loop itself (no transient
-//! dial/handshake helper threads). The legacy threaded driver spends one
-//! blocking writer plus one blocking reader per peer — 2·(n−1) threads
-//! per node — which this test also pins down so the comparison stays
-//! honest.
+//! Each node runs exactly one IO thread, regardless of cluster size: one
+//! `netfab-ev*` loop thread reads every peer socket — reconnect
+//! handshakes included, since both sides run as nonblocking state
+//! machines on the loop itself (no transient dial/handshake helper
+//! threads) — and senders write their own small frames, so there is no
+//! writer thread either.
 
 #![cfg(target_os = "linux")]
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use armci_netfab::{FaultPlan, IoDriver, NodeFabric, SessionCfg};
+use armci_netfab::NodeFabric;
 use armci_transport::{Endpoint, Mailbox, ProcId, Tag, Topology};
 
 /// Names of live threads in this process that belong to a netfab fabric.
@@ -38,7 +36,7 @@ fn netfab_threads() -> Vec<String> {
 }
 
 /// The node index embedded in a netfab thread name: the first digit run
-/// after the role tag (`netfab-ev3`, `netfab-w0-2`, `netfab-r1-0`, …).
+/// after the role tag (`netfab-ev3`, …).
 fn node_of(name: &str) -> u32 {
     let tail = name.trim_start_matches("netfab-").trim_start_matches(|c: char| c.is_ascii_alphabetic());
     let digits: String = tail.chars().take_while(|c| c.is_ascii_digit()).collect();
@@ -73,29 +71,26 @@ fn shutdown_all(fabrics: Vec<NodeFabric>) {
     }
 }
 
-fn wait_for_drain(phase: &str) {
+fn wait_for_drain() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let left = netfab_threads();
         if left.is_empty() {
             return;
         }
-        assert!(Instant::now() < deadline, "{phase}: netfab threads leaked after shutdown: {left:?}");
+        assert!(Instant::now() < deadline, "netfab threads leaked after shutdown: {left:?}");
         std::thread::sleep(Duration::from_millis(10));
     }
 }
 
-/// One #[test] with sequential phases: thread counting is process-global,
-/// so the phases must not overlap with each other (or any concurrent
-/// fabric).
+/// One #[test]: thread counting is process-global, so nothing else may
+/// build a fabric concurrently.
 #[test]
-fn event_loop_runs_o1_threads_per_node_where_threaded_runs_o_peers() {
-    // Phase 1 — event loop, 16 loopback nodes in this one process.
+fn one_io_thread_per_node() {
+    // 16 loopback nodes in this one process.
     let nodes = 16u32;
     let topo = Topology::new(nodes, 1);
-    let mut fabrics =
-        NodeFabric::loopback_driver(&topo, false, FaultPlan::new(), SessionCfg::default(), Some(IoDriver::EventLoop))
-            .expect("event-loop loopback fabric");
+    let mut fabrics = NodeFabric::loopback(&topo, false).expect("loopback fabric");
     exchange(&mut fabrics, nodes);
 
     let names = netfab_threads();
@@ -105,24 +100,5 @@ fn event_loop_runs_o1_threads_per_node_where_threaded_runs_o_peers() {
         assert_eq!(count, 1, "node {node} must run exactly one IO thread: {names:?}");
     }
     shutdown_all(fabrics);
-    wait_for_drain("event loop");
-
-    // Phase 2 — threaded driver, 4 nodes: 2·(n−1) = 6 threads per node
-    // (one writer + one reader per peer; no accept thread without
-    // recovery). This is the O(n) budget the event loop replaces.
-    let nodes = 4u32;
-    let topo = Topology::new(nodes, 1);
-    let mut fabrics =
-        NodeFabric::loopback_driver(&topo, false, FaultPlan::new(), SessionCfg::default(), Some(IoDriver::Threaded))
-            .expect("threaded loopback fabric");
-    exchange(&mut fabrics, nodes);
-
-    let names = netfab_threads();
-    let per_peer = 2 * (nodes as usize - 1);
-    for (node, count) in per_node_counts(&names) {
-        assert_eq!(count, per_peer, "node {node} under the threaded driver: {names:?}");
-    }
-    assert_eq!(names.len(), per_peer * nodes as usize);
-    shutdown_all(fabrics);
-    wait_for_drain("threaded");
+    wait_for_drain();
 }

@@ -65,6 +65,12 @@ pub struct WireCounters {
     /// Payload bytes of those messages (headers excluded, so the number
     /// is comparable across backends with different framing).
     pub bytes: u64,
+    /// `write(2)` calls that carried them (zero on the emulator, which
+    /// has no sockets). Frames that go out together share one write.
+    pub writes: u64,
+    /// Times a send asked the network backend's IO thread to wake up and
+    /// take over a write (zero on the emulator).
+    pub doorbells: u64,
 }
 
 /// The raw transport contract a [`Mailbox`] drives.
@@ -92,6 +98,20 @@ pub trait MailboxBackend: Send {
 
     /// Send `body` to `dst` with protocol tag `tag`.
     fn send(&mut self, dst: Endpoint, tag: Tag, body: crate::Body);
+
+    /// Send a message whose completion nobody waits for before the
+    /// sender's next send or receive (counted one-sided data, which
+    /// completes at a fence or barrier). A backend may hold it until this
+    /// endpoint's next [`MailboxBackend::send`] or
+    /// [`MailboxBackend::flush`], so that a burst of such messages costs
+    /// one system call. Per-pair FIFO order is the same as for `send`.
+    fn send_held(&mut self, dst: Endpoint, tag: Tag, body: crate::Body) {
+        self.send(dst, tag, body);
+    }
+
+    /// Put every message held by [`MailboxBackend::send_held`] on its
+    /// way. The mailbox calls this before every receive.
+    fn flush(&mut self) {}
 
     /// Receive the next deliverable message in arrival order, blocking.
     fn recv_raw(&mut self) -> Result<Msg, RecvError>;
@@ -381,7 +401,32 @@ impl Mailbox {
         }
     }
 
+    /// [`Mailbox::send`] for counted one-sided data that completes only
+    /// at a later fence or barrier: the backend may hold the message
+    /// until this mailbox's next send or receive (see
+    /// [`MailboxBackend::send_held`]). Per-pair FIFO order still holds.
+    pub fn send_held(&mut self, dst: Endpoint, tag: Tag, body: impl Into<crate::Body>) {
+        let body = body.into();
+        match &mut self.backend {
+            BackendImpl::Emu(b) => b.send(dst, tag, body),
+            BackendImpl::Ext(b) => b.send_held(dst, tag, body),
+        }
+    }
+
+    /// Put every message held by [`Mailbox::send_held`] on its way.
+    /// Every receive calls this first, so a process never waits for a
+    /// reply while its own request data sits in a buffer; callers that
+    /// wait on something other than the mailbox (a memory word) call it
+    /// themselves.
+    #[inline]
+    pub fn flush(&mut self) {
+        if let BackendImpl::Ext(b) = &mut self.backend {
+            b.flush();
+        }
+    }
+
     fn recv_from_wire(&mut self) -> Result<Msg, RecvError> {
+        self.flush();
         match &mut self.backend {
             BackendImpl::Emu(b) => b.recv_raw(),
             BackendImpl::Ext(b) => b.recv_raw(),
@@ -432,6 +477,7 @@ impl Mailbox {
         if let Some(m) = self.deferred.pop_front() {
             return Ok(Some(m));
         }
+        self.flush();
         match &mut self.backend {
             BackendImpl::Emu(b) => b.try_recv_raw(),
             BackendImpl::Ext(b) => b.try_recv_raw(),
@@ -445,6 +491,7 @@ impl Mailbox {
         if let Some(m) = self.deferred.pop_front() {
             return Ok(Some(m));
         }
+        self.flush();
         match &mut self.backend {
             BackendImpl::Emu(b) => b.recv_deadline_raw(deadline),
             BackendImpl::Ext(b) => b.recv_deadline_raw(deadline),
@@ -470,6 +517,7 @@ impl Mailbox {
         if let Some(pos) = self.deferred.iter().position(&mut pred) {
             return Ok(Some(self.deferred.remove(pos).unwrap()));
         }
+        self.flush();
         loop {
             let m = match &mut self.backend {
                 BackendImpl::Emu(b) => b.recv_deadline_raw(deadline)?,
@@ -614,7 +662,7 @@ mod tests {
         assert_eq!(a.wire_counters(), WireCounters::default());
         a.send(Endpoint::Proc(ProcId(2)), Tag(0), vec![1, 2, 3, 4]); // crosses the wire
         a.send(Endpoint::Server(crate::ids::NodeId(1)), Tag(0), vec![5]);
-        assert_eq!(a.wire_counters(), WireCounters { msgs: 2, bytes: 5 });
+        assert_eq!(a.wire_counters(), WireCounters { msgs: 2, bytes: 5, writes: 0, doorbells: 0 });
     }
 
     #[test]
