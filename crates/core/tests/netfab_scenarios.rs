@@ -361,27 +361,79 @@ fn tcp_loopback_trace_matches_emulator_structure() {
 // shm data plane: two ranks, one host, separate OS processes
 // ----------------------------------------------------------------------
 
-/// The probe both shm-plane runs execute: one-sided put/get/rmw at the
-/// other process, then an MCS lock ping-pong, with the wire-message
-/// delta measured across the whole contention region (no barriers
-/// inside it). Each rank ships its delta to rank 0 so node 0's result
+/// What one shm-plane run reports from rank 0. `data` holds every value
+/// the probe read back and must be identical whether the ops rode the
+/// shm plane or the wire; `wire` and `pair_wire` are the wire-message
+/// deltas of both ranks across the two measured regions.
+#[derive(Debug)]
+struct ShmProbe {
+    data: Vec<Vec<u8>>,
+    wire: [u64; 2],
+    pair_wire: [u64; 2],
+}
+
+/// `len` bytes that depend on `tag` and the writing rank, so every
+/// region of the probe carries distinct, checkable contents.
+fn pattern(tag: u8, rank: usize, len: usize) -> Vec<u8> {
+    (0..len).map(|i| tag.wrapping_mul(31).wrapping_add((rank * 7 + i) as u8)).collect()
+}
+
+/// The probe both shm-plane runs execute. Region one covers every data
+/// op that has a shm arm — word put/get/rmw, strided, vector, accumulate,
+/// non-blocking gets and a notified put — aimed at the other process,
+/// then an MCS lock ping-pong; region two covers the 128-bit pair ops,
+/// which must keep using the owner's server. Neither region contains a
+/// barrier. Each rank ships its deltas to rank 0 so node 0's result
 /// carries both.
-///
-/// Returns `(echoed, ticket, counter, delta_rank0, delta_rank1)`; the
-/// first three are the data results and must be identical whether the
-/// ops rode the shm plane or the wire.
-fn shm_probe(a: &mut Armci) -> (u64, u64, u64, u64, u64) {
-    let seg = a.malloc(256);
+fn shm_probe(a: &mut Armci) -> ShmProbe {
+    let seg = a.malloc(1024);
     let lock = LockId { owner: ProcId(0), idx: 0 };
-    let me = a.rank() as u64;
-    let peer = ProcId(((a.rank() + 1) % 2) as u32);
+    let rank = a.rank();
+    let me = rank as u64;
+    let peer = ProcId(((rank + 1) % 2) as u32);
+    let at = |off: usize| GlobalAddr::new(peer, seg, off);
+    // Regions in the target segment, disjoint per writing rank.
+    let strided = Strided2D { offset: 256 + 128 * rank, rows: 3, row_bytes: 8, stride: 24 };
+    let runs = [((512 + 64 * rank) as u64, 4u32), ((512 + 64 * rank + 20) as u64, 12)];
+    let acc_at = 640 + 16 * rank;
+    let notified = [((704 + 32 * rank) as u64, 5u32), ((704 + 32 * rank + 16) as u64, 9)];
+    let pair_at = 768 + 16 * rank;
     a.barrier();
 
     let wire_before = a.stats().wire_msgs;
     // Direct one-sided data ops against the other process's segment.
-    a.put_u64(GlobalAddr::new(peer, seg, 8 * a.rank()), me + 0xA0);
-    let ticket = a.fetch_add_u64(GlobalAddr::new(peer, seg, 64), me + 1);
-    let echoed = a.get_u64(GlobalAddr::new(peer, seg, 8 * a.rank()));
+    a.put_u64(at(8 * rank), me + 0xA0);
+    let ticket = a.fetch_add_u64(at(64), me + 1);
+    let echoed = a.get_u64(at(8 * rank));
+    // Every bulk op, written then read back across one fence.
+    a.put_strided(peer, seg, strided, &pattern(1, rank, strided.total_bytes()));
+    a.put_vector(peer, seg, &runs, &pattern(2, rank, 16));
+    a.put_f64_slice(at(acc_at), &[1.5, -4.0]);
+    a.acc_f64(at(acc_at), 2.0, &[0.25, 3.0]);
+    a.put_notify_v(peer, seg, &notified, &pattern(3, rank, 14), 0);
+    a.fence(peer);
+    let mut data = vec![
+        echoed.to_le_bytes().to_vec(),
+        ticket.to_le_bytes().to_vec(),
+        a.get_strided(peer, seg, strided),
+        a.get_vector(peer, seg, &runs),
+        a.get_f64_slice(at(acc_at), 2).iter().flat_map(|v| v.to_le_bytes()).collect(),
+    ];
+    let nb = a.nbget(at(512 + 64 * rank), 4);
+    let nb_strided = a.nbget_strided(peer, seg, strided);
+    data.push(a.nbget_wait(nb));
+    data.push(a.nbget_wait(nb_strided));
+    // The peer's notified put landed in my segment before its bump.
+    a.wait_notify(0, 1);
+    let mine = a.local_segment(seg);
+    let peer_rank = peer.idx();
+    let mut landed = Vec::new();
+    for &(off, len) in &[((704 + 32 * peer_rank) as u64, 5u32), ((704 + 32 * peer_rank + 16) as u64, 9)] {
+        let mut buf = vec![0u8; len as usize];
+        mine.read_bytes(off as usize, &mut buf);
+        landed.extend(buf);
+    }
+    data.push(landed);
     // MCS lock handoff between the two processes: a deliberately
     // non-atomic increment under the lock proves mutual exclusion.
     let ctr = GlobalAddr::new(ProcId(0), seg, 128);
@@ -393,26 +445,34 @@ fn shm_probe(a: &mut Armci) -> (u64, u64, u64, u64, u64) {
         a.unlock(lock);
     }
     let wire_delta = a.stats().wire_msgs - wire_before;
+    a.barrier();
+
+    // Pair ops: atomic only under their owner's stripe locks, so they
+    // take the wire even with the plane on.
+    let pair_before = a.stats().wire_msgs;
+    a.put_pair(at(pair_at), [me + 1, me + 2]);
+    let seen = a.pair_cas(at(pair_at), [me + 1, me + 2], [me + 3, me + 4]);
+    let pair_delta = a.stats().wire_msgs - pair_before;
+    data.push(seen.iter().flat_map(|v| v.to_le_bytes()).collect());
 
     a.barrier();
     // +1 so a genuine zero delta is distinguishable from an unwritten slot.
-    a.put_u64(GlobalAddr::new(ProcId(0), seg, 160 + 8 * a.rank()), wire_delta + 1);
+    a.put_u64(GlobalAddr::new(ProcId(0), seg, 160 + 8 * rank), wire_delta + 1);
+    a.put_u64(GlobalAddr::new(ProcId(0), seg, 176 + 8 * rank), pair_delta + 1);
     a.barrier();
-    let counter = a.get_u64(ctr);
+    data.push(a.get_u64(ctr).to_le_bytes().to_vec());
     a.barrier();
-    if a.rank() == 0 {
-        let mine = a.local_segment(seg);
-        (echoed, ticket, counter, mine.read_u64(160) - 1, mine.read_u64(168) - 1)
-    } else {
-        (echoed, ticket, counter, 0, 0)
-    }
+    let delta = |off: usize| mine.read_u64(off) - 1;
+    let (wire, pair_wire) =
+        if rank == 0 { ([delta(160), delta(168)], [delta(176), delta(184)]) } else { ([0; 2], [0; 2]) };
+    ShmProbe { data, wire, pair_wire }
 }
 
 /// The single `run_cluster_spawned` call site of this binary: children
 /// re-enter `shm_plane_spawned_zero_wire` with an `--exact` filter, land
 /// here, and take their cluster config from the environment payload —
 /// so the parent can invoke it for both the shm-on and shm-off runs.
-fn run_shm_probe(shm_on: bool) -> (u64, u64, u64, u64, u64) {
+fn run_shm_probe(shm_on: bool) -> ShmProbe {
     let cfg = ArmciCfg {
         nodes: 2,
         procs_per_node: 1,
@@ -423,7 +483,7 @@ fn run_shm_probe(shm_on: bool) -> (u64, u64, u64, u64, u64) {
     };
     let child_args: Vec<String> =
         ["shm_plane_spawned_zero_wire", "--exact", "--test-threads=1"].iter().map(|s| s.to_string()).collect();
-    run_cluster_spawned(cfg, &child_args, shm_probe)[0]
+    run_cluster_spawned(cfg, &child_args, shm_probe).swap_remove(0)
 }
 
 #[test]
@@ -434,11 +494,31 @@ fn shm_plane_spawned_zero_wire() {
     let off = run_shm_probe(false);
     // Identical data results either way — the plane changes the route,
     // never the bytes.
-    assert_eq!((on.0, on.1, on.2), (off.0, off.1, off.2), "shm and wire paths disagree: {on:?} vs {off:?}");
-    assert_eq!((on.0, on.1, on.2), (0xA0, 0, 10));
-    // With the plane on, the whole put/get/rmw + MCS-lock region crossed
-    // the wire exactly zero times in *both* processes...
-    assert_eq!((on.3, on.4), (0, 0), "local-target ops sent wire messages with shm plane on: {on:?}");
+    assert_eq!(on.data, off.data, "shm and wire paths disagree: {on:?} vs {off:?}");
+    // Rank 0's view, spelled out: what it wrote into rank 1 came back,
+    // and rank 1's notified put landed in rank 0.
+    let f64s = |v: &[f64]| v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+    let strided = pattern(1, 0, 24);
+    let vector = pattern(2, 0, 16);
+    let expect: Vec<Vec<u8>> = vec![
+        0xA0u64.to_le_bytes().to_vec(),
+        0u64.to_le_bytes().to_vec(),
+        strided.clone(),
+        vector.clone(),
+        f64s(&[2.0, 2.0]),
+        vector[..4].to_vec(),
+        strided,
+        pattern(3, 1, 14),
+        [1u64, 2].iter().flat_map(|v| v.to_le_bytes()).collect(),
+        10u64.to_le_bytes().to_vec(),
+    ];
+    assert_eq!(on.data, expect);
+    // With the plane on, the whole data-op + MCS-lock region crossed the
+    // wire exactly zero times in *both* processes...
+    assert_eq!(on.wire, [0, 0], "local-target ops sent wire messages with shm plane on: {on:?}");
     // ...and with it off, the same region demonstrably used the wire.
-    assert!(off.3 > 0 && off.4 > 0, "wire run produced no wire traffic to compare against: {off:?}");
+    assert!(off.wire.iter().all(|&d| d > 0), "wire run produced no wire traffic to compare against: {off:?}");
+    // Pair ops ride the wire whatever the plane setting.
+    assert!(on.pair_wire.iter().all(|&d| d > 0), "pair ops skipped the wire with shm plane on: {on:?}");
+    assert!(off.pair_wire.iter().all(|&d| d > 0), "pair ops skipped the wire with shm plane off: {off:?}");
 }
