@@ -3,6 +3,7 @@
 //!
 //! Lock operations live in [`crate::lock`] (same struct, separate module).
 
+use std::iter::once;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,12 +18,12 @@ use armci_transport::{
     Body, BodyPool, Endpoint, Mailbox, MemoryRegistry, Msg, NodeId, ProcId, SegId, Segment, Tag, Topology,
 };
 
+use crate::apply::{self, apply_rmw};
 use crate::config::{AckMode, LockAlgo, OnPeerLoss};
 use crate::errors::ArmciError;
 use crate::gptr::GlobalAddr;
 use crate::layout;
 use crate::msg::{enc, Req, RmwOp, TAG_FENCE_ACK, TAG_GET_REPLY, TAG_PUT_ACK, TAG_REQ, TAG_RMW_REPLY};
-use crate::server::apply_rmw;
 use crate::shm::ShmDataPlane;
 use crate::stats::Stats;
 use crate::strided::Strided2D;
@@ -146,7 +147,7 @@ pub struct Armci {
 /// [`Armci::nbget_wait`].
 #[must_use = "a non-blocking get must be waited, or its reply will corrupt later matching"]
 pub enum NbGet {
-    /// The source was node-local; data is already here.
+    /// The source was node-local or shm-mapped; data is already here.
     Ready(Vec<u8>),
     /// A reply from `node` is in flight.
     Pending {
@@ -157,6 +158,23 @@ pub enum NbGet {
         /// Expected payload length.
         len: usize,
     },
+}
+
+/// Where a data op runs, resolved once per op by [`Armci::route`]:
+/// `Direct` into the target memory `S` (synchronous, never fenced), or
+/// over the `Wire` to the target node's server.
+pub(crate) enum Route<S = Arc<Segment>> {
+    Direct(S, Via),
+    Wire(NodeId),
+}
+
+/// How a direct route reaches the target's memory — this node's registry
+/// or the shm plane's mapping of another node's segment. It only picks
+/// which [`Stats`] family counts the op (`local_*` or `shm_*`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Via {
+    Local,
+    Shm,
 }
 
 impl Armci {
@@ -215,8 +233,9 @@ impl Armci {
         self.lock_algo
     }
 
-    /// True if `p`'s memory is reachable through shared memory (same
-    /// node), in which case operations bypass the server thread.
+    /// True if `p` runs on this node, so its memory is in this address
+    /// space. Locks ask this to pick a *protocol*; data ops do not — their
+    /// route also depends on the shm plane.
     #[inline]
     pub fn is_local(&self, p: ProcId) -> bool {
         self.topology().node_of(p) == self.my_node
@@ -237,18 +256,48 @@ impl Armci {
         }
     }
 
-    fn seg_of(&self, addr: GlobalAddr) -> Arc<Segment> {
-        self.registry.lookup(addr.proc, addr.seg)
+    /// Resolve where a data op on `p`'s segment `seg` runs — the one
+    /// routing decision every data op makes (paper §2, Fig. 1): through
+    /// the registry for a node-local target, through the shm plane for a
+    /// same-host process that maps `seg`, else by the target's server.
+    pub(crate) fn route(&self, p: ProcId, seg: SegId) -> Route {
+        let node = self.server_of(p);
+        if node == self.my_node {
+            Route::Direct(self.registry.lookup(p, seg), Via::Local)
+        } else if let Some(s) = self.shm_route(p, seg) {
+            Route::Direct(s, Via::Shm)
+        } else {
+            Route::Wire(node)
+        }
     }
 
-    /// Shared-memory route to a *non-node-local* peer's segment (same
-    /// host, different process), or `None` for the wire. Callers check
-    /// [`Armci::is_local`] first — node-local targets use the in-process
-    /// registry directly. Operations served this way are synchronous, so
-    /// they are never counted for fences (`note_put` is skipped), exactly
-    /// like node-local operations.
-    pub(crate) fn shm_route(&self, p: ProcId, seg: SegId) -> Option<Arc<Segment>> {
+    /// [`Armci::route`] for a 128-bit pair op — the one place the pair
+    /// exception lives: pair atomicity comes from the owner process's
+    /// stripe locks, so a shm-plane target is served by its server.
+    fn pair_route(&self, p: ProcId, seg: SegId) -> Route {
+        match self.route(p, seg) {
+            Route::Direct(_, Via::Shm) => Route::Wire(self.server_of(p)),
+            route => route,
+        }
+    }
+
+    /// The shm plane's mapping of another node's segment, or `None` when
+    /// the plane is off or does not map it. Only [`Armci::route`] asks.
+    fn shm_route(&self, p: ProcId, seg: SegId) -> Option<Arc<Segment>> {
         self.shm.as_ref()?.route(p, seg)
+    }
+
+    /// The issue-time check of the fallible one-way ops: refuse to queue
+    /// data for a wire target whose node is known dead. A direct target
+    /// needs no connection (this is how lease reclamation clears a dead
+    /// holder's words for real under shm).
+    fn refuse_lost<S>(&mut self, route: &Route<S>) -> Result<(), ArmciError> {
+        match *route {
+            Route::Wire(node) if self.mb.peer_is_lost(node) => {
+                Err(ArmciError::PeerLost { peer: node, epoch: self.observe_loss(node) })
+            }
+            _ => Ok(()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -425,39 +474,43 @@ impl Armci {
         self.mb.send(agent, TAG_REQ, body);
     }
 
-    pub(crate) fn send_req(&mut self, node: NodeId, req: &Req) {
-        self.send_req_to(Endpoint::Server(node), req);
-    }
-
     pub(crate) fn send_req_to(&mut self, agent: Endpoint, req: &Req) {
         self.send_req_framed(agent, |buf| req.encode_into(buf));
     }
 
+    /// Round-trip a get request through `node`'s server; returns the data.
+    fn wire_get(&mut self, op: &'static str, node: NodeId, req: &Req) -> Result<Body, ArmciError> {
+        self.send_req_to(Endpoint::Server(node), req);
+        self.stats.remote_gets += 1;
+        Ok(self.recv_reply(op, Endpoint::Server(node), TAG_GET_REPLY)?.body)
+    }
+
     /// Send counted one-sided data (a put or accumulate framed by
-    /// `frame`) to `dst`'s server and record it for the next fence. The
-    /// transport may hold the message until this process's next send or
-    /// wait ([`Mailbox::send_held`]): it completes only at a fence or
-    /// barrier, which sends or waits first, so a burst of puts leaves in
-    /// one write.
-    fn send_counted_put(&mut self, dst: ProcId, frame: impl FnOnce(&mut Vec<u8>)) {
-        let node = self.server_of(dst);
+    /// `frame`) to `dst`'s server at `node` and record it for the next
+    /// fence. The transport may hold the message until this process's
+    /// next send or wait ([`Mailbox::send_held`]): it completes only at a
+    /// fence or barrier, which sends or waits first, so a burst of puts
+    /// leaves in one write.
+    fn send_counted_put(&mut self, dst: ProcId, node: NodeId, frame: impl FnOnce(&mut Vec<u8>)) {
         self.stats.server_msgs += 1;
         let body = self.encode_pool.with_buf(frame);
         self.mb.send_held(Endpoint::Server(node), TAG_REQ, body);
-        self.note_counted_put(dst);
+        self.note_counted_put(dst, node, false);
     }
 
-    /// Record bookkeeping for a counted put sent to `dst`'s node, via the
-    /// bulk-data server (`via_nic = false`) or the NIC agent.
-    fn note_counted_put_via(&mut self, dst: ProcId, via_nic: bool) {
-        let node = self.server_of(dst);
+    /// Send a one-way atomic put (`put_u64`, `put_pair`) to `node`'s
+    /// sync agent and record it for the next fence.
+    fn send_sync_put(&mut self, dst: ProcId, node: NodeId, req: &Req) {
+        let agent = self.sync_agent(node);
+        self.send_req_to(agent, req);
+        self.note_counted_put(dst, node, agent.is_nic());
+    }
+
+    /// Record bookkeeping for a counted put sent to `dst` at `node`, via
+    /// the bulk-data server (`via_nic = false`) or the NIC agent.
+    fn note_counted_put(&mut self, dst: ProcId, node: NodeId, via_nic: bool) {
         self.fence.note_put(dst.idx(), node.idx(), via_nic);
         self.stats.remote_puts += 1;
-    }
-
-    /// Record bookkeeping for a counted put sent to `dst`'s server.
-    fn note_counted_put(&mut self, dst: ProcId) {
-        self.note_counted_put_via(dst, false);
     }
 
     // ------------------------------------------------------------------
@@ -513,42 +566,39 @@ impl Armci {
     // Data movement
     // ------------------------------------------------------------------
 
-    /// Non-blocking contiguous put. Node-local destinations are written
-    /// directly through shared memory; remote ones are shipped to the
+    /// Non-blocking contiguous put. Node-local and shm-mapped destinations
+    /// are written directly through memory; remote ones are shipped to the
     /// destination node's server and complete asynchronously — call
     /// [`Armci::fence`]/[`Armci::allfence`]/[`Armci::barrier`] to await
     /// completion (§2 of the paper).
     pub fn put(&mut self, dst: GlobalAddr, data: &[u8]) {
-        if self.is_local(dst.proc) {
-            self.seg_of(dst).write_bytes(dst.offset, data);
-            self.stats.local_puts += 1;
-        } else if let Some(s) = self.shm_route(dst.proc, dst.seg) {
-            s.write_bytes(dst.offset, data);
-            self.stats.shm_puts += 1;
-        } else {
-            // Frame the user's slice straight into a pooled buffer: no
-            // intermediate `data.to_vec()`, no per-request body allocation.
-            self.send_counted_put(dst.proc, |buf| enc::put(buf, dst.proc, dst.seg, dst.offset as u64, data));
-        }
+        self.put_on(self.route(dst.proc, dst.seg), dst, data);
     }
 
     /// Fallible [`Armci::put`]: refuse to queue data for a destination
     /// node whose connection is already known dead. A put is one-way, so
     /// this is the only failure a sender can observe at issue time; later
     /// losses surface at the next fence or barrier. A target reachable
-    /// through the shm plane succeeds even when its *wire* link is down —
-    /// the memory is mapped, no connection is involved (this is how lease
-    /// reclamation clears a dead holder's words for real under shm).
+    /// through the shm plane succeeds even when its wire link is down.
     pub fn try_put(&mut self, dst: GlobalAddr, data: &[u8]) -> Result<(), ArmciError> {
-        if !self.is_local(dst.proc) && self.shm_route(dst.proc, dst.seg).is_none() {
-            let node = self.server_of(dst.proc);
-            if self.mb.peer_is_lost(node) {
-                let epoch = self.observe_loss(node);
-                return Err(ArmciError::PeerLost { peer: node, epoch });
+        let route = self.route(dst.proc, dst.seg);
+        self.refuse_lost(&route)?;
+        self.put_on(route, dst, data);
+        Ok(())
+    }
+
+    fn put_on(&mut self, route: Route, dst: GlobalAddr, data: &[u8]) {
+        match route {
+            Route::Direct(s, via) => {
+                s.write_bytes(dst.offset, data);
+                self.stats.direct_put(via);
+            }
+            // Frame the user's slice straight into a pooled buffer: no
+            // intermediate `data.to_vec()`, no per-request body allocation.
+            Route::Wire(node) => {
+                self.send_counted_put(dst.proc, node, |buf| enc::put(buf, dst.proc, dst.seg, dst.offset as u64, data))
             }
         }
-        self.put(dst, data);
-        Ok(())
     }
 
     /// Non-blocking atomic word put (Release store). One-way even for
@@ -560,33 +610,32 @@ impl Armci {
     /// same node (two independent queues, as on real NIC offload);
     /// fences and the combined barrier cover both.
     pub fn put_u64(&mut self, dst: GlobalAddr, val: u64) {
-        if self.is_local(dst.proc) {
-            self.seg_of(dst).write_u64(dst.offset, val);
-            self.stats.local_puts += 1;
-        } else if let Some(s) = self.shm_route(dst.proc, dst.seg) {
-            s.write_u64(dst.offset, val);
-            self.stats.shm_puts += 1;
-        } else {
-            let req = Req::PutU64 { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
-            let agent = self.sync_agent(self.server_of(dst.proc));
-            self.send_req_to(agent, &req);
-            self.note_counted_put_via(dst.proc, agent.is_nic());
+        match self.route(dst.proc, dst.seg) {
+            Route::Direct(s, via) => {
+                s.write_u64(dst.offset, val);
+                self.stats.direct_put(via);
+            }
+            Route::Wire(node) => {
+                let req = Req::PutU64 { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
+                self.send_sync_put(dst.proc, node, &req);
+            }
         }
     }
 
     /// Non-blocking atomic pair put (paired-long variant of
-    /// [`Armci::put_u64`]). Always rides the wire for other processes —
+    /// [`Armci::put_u64`]). Always rides the wire for other processes:
     /// pair atomicity is stripe-lock-based, so the shm plane never serves
     /// it (see [`RmwOp::is_pair`]).
     pub fn put_pair(&mut self, dst: GlobalAddr, val: [u64; 2]) {
-        if self.is_local(dst.proc) {
-            self.seg_of(dst).pair_swap(dst.offset, val);
-            self.stats.local_puts += 1;
-        } else {
-            let req = Req::PutPair { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
-            let agent = self.sync_agent(self.server_of(dst.proc));
-            self.send_req_to(agent, &req);
-            self.note_counted_put_via(dst.proc, agent.is_nic());
+        match self.pair_route(dst.proc, dst.seg) {
+            Route::Direct(s, via) => {
+                s.pair_swap(dst.offset, val);
+                self.stats.direct_put(via);
+            }
+            Route::Wire(node) => {
+                let req = Req::PutPair { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
+                self.send_sync_put(dst.proc, node, &req);
+            }
         }
     }
 
@@ -610,24 +659,18 @@ impl Armci {
     ///     a.barrier();
     /// });
     /// ```
+    ///
+    /// A payload that does not match the shape, or overlapping rows, panic
+    /// in the caller on every route.
     pub fn put_strided(&mut self, dst: ProcId, seg: SegId, desc: Strided2D, data: &[u8]) {
         assert_eq!(data.len(), desc.total_bytes(), "payload does not match strided shape");
-        let direct = if self.is_local(dst) {
-            self.stats.local_puts += 1;
-            Some(self.registry.lookup(dst, seg))
-        } else if let Some(s) = self.shm_route(dst, seg) {
-            self.stats.shm_puts += 1;
-            Some(s)
-        } else {
-            None
-        };
-        if let Some(s) = direct {
-            desc.validate(s.len());
-            for (row, off) in desc.row_offsets().enumerate() {
-                s.write_bytes(off, &data[row * desc.row_bytes..(row + 1) * desc.row_bytes]);
+        desc.check_shape();
+        match self.route(dst, seg) {
+            Route::Direct(s, via) => {
+                apply::write_strided(&s, &desc, data);
+                self.stats.direct_put(via);
             }
-        } else {
-            self.send_counted_put(dst, |buf| enc::put_strided(buf, dst, seg, &desc, data));
+            Route::Wire(node) => self.send_counted_put(dst, node, |buf| enc::put_strided(buf, dst, seg, &desc, data)),
         }
     }
 
@@ -639,53 +682,24 @@ impl Armci {
     pub fn put_vector(&mut self, dst: ProcId, seg: SegId, runs: &[(u64, u32)], data: &[u8]) {
         let total: usize = runs.iter().map(|&(_, l)| l as usize).sum();
         assert_eq!(data.len(), total, "payload does not match run list");
-        let direct = if self.is_local(dst) {
-            self.stats.local_puts += 1;
-            Some(self.registry.lookup(dst, seg))
-        } else if let Some(s) = self.shm_route(dst, seg) {
-            self.stats.shm_puts += 1;
-            Some(s)
-        } else {
-            None
-        };
-        if let Some(s) = direct {
-            let mut pos = 0usize;
-            for &(off, len) in runs {
-                s.write_bytes(off as usize, &data[pos..pos + len as usize]);
-                pos += len as usize;
+        match self.route(dst, seg) {
+            Route::Direct(s, via) => {
+                apply::write_runs(&s, runs.iter().copied(), data);
+                self.stats.direct_put(via);
             }
-        } else {
-            self.send_counted_put(dst, |buf| enc::put_vector(buf, dst, seg, runs, data));
+            Route::Wire(node) => self.send_counted_put(dst, node, |buf| enc::put_vector(buf, dst, seg, runs, data)),
         }
     }
 
     /// Blocking generalized I/O-vector get (`ARMCI_GetV`): gather the
     /// listed runs into one contiguous result.
     pub fn get_vector(&mut self, src: ProcId, seg: SegId, runs: &[(u64, u32)]) -> Vec<u8> {
-        let direct = if self.is_local(src) {
-            self.stats.local_gets += 1;
-            Some(self.registry.lookup(src, seg))
-        } else if let Some(s) = self.shm_route(src, seg) {
-            self.stats.shm_gets += 1;
-            Some(s)
-        } else {
-            None
-        };
-        if let Some(s) = direct {
-            let total: usize = runs.iter().map(|&(_, l)| l as usize).sum();
-            let mut out = vec![0u8; total];
-            let mut pos = 0usize;
-            for &(off, len) in runs {
-                s.read_bytes(off as usize, &mut out[pos..pos + len as usize]);
-                pos += len as usize;
+        match self.route(src, seg) {
+            Route::Direct(s, via) => self.read_direct(via, |out| apply::read_runs(&s, runs.iter().copied(), out)),
+            Route::Wire(node) => {
+                let req = Req::GetVector { dst: src, seg, runs: runs.to_vec() };
+                unwrap_op(self.wire_get("get_vector", node, &req)).into_vec()
             }
-            out
-        } else {
-            let node = self.server_of(src);
-            self.send_req(node, &Req::GetVector { dst: src, seg, runs: runs.to_vec() });
-            self.stats.remote_gets += 1;
-            let m = unwrap_op(self.recv_reply("get_vector", Endpoint::Server(node), TAG_GET_REPLY));
-            m.body.into_vec()
         }
     }
 
@@ -697,73 +711,51 @@ impl Armci {
     /// Fallible [`Armci::get`]: surface a dead source node or an expired
     /// operation deadline as an [`ArmciError`] instead of panicking.
     pub fn try_get(&mut self, src: GlobalAddr, out: &mut [u8]) -> Result<(), ArmciError> {
-        if self.is_local(src.proc) {
-            self.seg_of(src).read_bytes(src.offset, out);
-            self.stats.local_gets += 1;
-            Ok(())
-        } else if let Some(s) = self.shm_route(src.proc, src.seg) {
-            s.read_bytes(src.offset, out);
-            self.stats.shm_gets += 1;
-            Ok(())
-        } else {
-            let node = self.server_of(src.proc);
-            let req = Req::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: out.len() as u32 };
-            self.send_req(node, &req);
-            self.stats.remote_gets += 1;
-            let m = self.recv_reply("get", Endpoint::Server(node), TAG_GET_REPLY)?;
-            out.copy_from_slice(&m.body);
-            Ok(())
+        match self.route(src.proc, src.seg) {
+            Route::Direct(s, via) => {
+                s.read_bytes(src.offset, out);
+                self.stats.direct_get(via);
+            }
+            Route::Wire(node) => {
+                let req = Req::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: out.len() as u32 };
+                out.copy_from_slice(&self.wire_get("get", node, &req)?);
+            }
+        }
+        Ok(())
+    }
+
+    /// Blocking strided get; returns the packed rows. Overlapping rows
+    /// panic in the caller whichever route the get would take.
+    pub fn get_strided(&mut self, src: ProcId, seg: SegId, desc: Strided2D) -> Vec<u8> {
+        desc.check_shape();
+        match self.route(src, seg) {
+            Route::Direct(s, via) => self.read_direct(via, |out| apply::read_strided(&s, &desc, out)),
+            Route::Wire(node) => {
+                unwrap_op(self.wire_get("get_strided", node, &Req::GetStrided { dst: src, seg, desc })).into_vec()
+            }
         }
     }
 
-    /// Blocking strided get; returns the packed rows.
-    pub fn get_strided(&mut self, src: ProcId, seg: SegId, desc: Strided2D) -> Vec<u8> {
-        let direct = if self.is_local(src) {
-            self.stats.local_gets += 1;
-            Some(self.registry.lookup(src, seg))
-        } else if let Some(s) = self.shm_route(src, seg) {
-            self.stats.shm_gets += 1;
-            Some(s)
-        } else {
-            None
-        };
-        if let Some(s) = direct {
-            desc.validate(s.len());
-            let mut out = vec![0u8; desc.total_bytes()];
-            for (row, off) in desc.row_offsets().enumerate() {
-                s.read_bytes(off, &mut out[row * desc.row_bytes..(row + 1) * desc.row_bytes]);
-            }
-            out
-        } else {
-            let node = self.server_of(src);
-            self.send_req(node, &Req::GetStrided { dst: src, seg, desc });
-            self.stats.remote_gets += 1;
-            let m = unwrap_op(self.recv_reply("get_strided", Endpoint::Server(node), TAG_GET_REPLY));
-            m.body.into_vec()
-        }
+    /// Run a read kernel over a direct route into a fresh buffer.
+    fn read_direct(&mut self, via: Via, read: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        self.stats.direct_get(via);
+        let mut out = Vec::new();
+        read(&mut out);
+        out
     }
 
     /// Non-blocking atomic accumulate: `mem[i] += scale * vals[i]` on
     /// `f64` elements. Element-wise atomic, so concurrent accumulates
     /// from any mix of local processes and the server never lose updates.
     pub fn acc_f64(&mut self, dst: GlobalAddr, scale: f64, vals: &[f64]) {
-        let direct = if self.is_local(dst.proc) {
-            self.stats.local_puts += 1;
-            Some(self.seg_of(dst))
-        } else if let Some(s) = self.shm_route(dst.proc, dst.seg) {
-            // Element-wise CAS loops are cross-process safe: every mapping
-            // of the page resolves to the same physical word.
-            self.stats.shm_puts += 1;
-            Some(s)
-        } else {
-            None
-        };
-        if let Some(s) = direct {
-            for (i, &v) in vals.iter().enumerate() {
-                s.fetch_add_f64(dst.offset + 8 * i, scale * v);
+        match self.route(dst.proc, dst.seg) {
+            Route::Direct(s, via) => {
+                apply::acc_f64(&s, dst.offset, scale, vals.iter().copied());
+                self.stats.direct_put(via);
             }
-        } else {
-            self.send_counted_put(dst.proc, |buf| enc::acc_f64(buf, dst.proc, dst.seg, dst.offset as u64, scale, vals));
+            Route::Wire(node) => self.send_counted_put(dst.proc, node, |buf| {
+                enc::acc_f64(buf, dst.proc, dst.seg, dst.offset as u64, scale, vals)
+            }),
         }
     }
 
@@ -826,52 +818,42 @@ impl Armci {
     // ------------------------------------------------------------------
 
     /// Issue a non-blocking get of `len` bytes; overlap computation, then
-    /// call [`Armci::nbget_wait`]. Node-local sources complete
-    /// immediately.
+    /// call [`Armci::nbget_wait`]. Direct sources complete immediately.
     ///
     /// Outstanding gets to the *same* node must be waited in issue order
     /// (enforced by an assertion): replies travel a FIFO channel, so
     /// out-of-order waits would mismatch data. Gets to different nodes
     /// are independent.
     pub fn nbget(&mut self, src: GlobalAddr, len: usize) -> NbGet {
-        if self.is_local(src.proc) {
-            let mut out = vec![0u8; len];
-            self.seg_of(src).read_bytes(src.offset, &mut out);
-            self.stats.local_gets += 1;
-            NbGet::Ready(out)
-        } else if let Some(s) = self.shm_route(src.proc, src.seg) {
-            // Shared-memory sources complete immediately, like node-local
-            // ones; they never join the per-node FIFO reply stream.
-            let mut out = vec![0u8; len];
-            s.read_bytes(src.offset, &mut out);
-            self.stats.shm_gets += 1;
-            NbGet::Ready(out)
-        } else {
-            let node = self.server_of(src.proc);
-            let req = Req::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: len as u32 };
-            self.send_req(node, &req);
-            self.stats.remote_gets += 1;
-            let seq = self.nbget_issued[node.idx()];
-            self.nbget_issued[node.idx()] += 1;
-            NbGet::Pending { node, seq, len }
+        match self.route(src.proc, src.seg) {
+            Route::Direct(s, via) => NbGet::Ready(
+                self.read_direct(via, |out| apply::read_runs(&s, once((src.offset as u64, len as u32)), out)),
+            ),
+            Route::Wire(node) => {
+                let req = Req::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: len as u32 };
+                self.send_nbget(node, &req, len)
+            }
         }
     }
 
     /// Issue a non-blocking strided get; same ordering rules as
     /// [`Armci::nbget`].
     pub fn nbget_strided(&mut self, src: ProcId, seg: SegId, desc: Strided2D) -> NbGet {
-        if self.is_local(src) || self.shm_route(src, seg).is_some() {
-            // `get_strided` re-resolves and takes the matching direct path.
-            let out = self.get_strided(src, seg, desc);
-            NbGet::Ready(out)
-        } else {
-            let node = self.server_of(src);
-            self.send_req(node, &Req::GetStrided { dst: src, seg, desc });
-            self.stats.remote_gets += 1;
-            let seq = self.nbget_issued[node.idx()];
-            self.nbget_issued[node.idx()] += 1;
-            NbGet::Pending { node, seq, len: desc.total_bytes() }
+        desc.check_shape();
+        match self.route(src, seg) {
+            Route::Direct(s, via) => NbGet::Ready(self.read_direct(via, |out| apply::read_strided(&s, &desc, out))),
+            Route::Wire(node) => self.send_nbget(node, &Req::GetStrided { dst: src, seg, desc }, desc.total_bytes()),
         }
+    }
+
+    /// Send a get request to `node`'s server without waiting for the
+    /// reply, which joins that node's FIFO reply stream.
+    fn send_nbget(&mut self, node: NodeId, req: &Req, len: usize) -> NbGet {
+        self.send_req_to(Endpoint::Server(node), req);
+        self.stats.remote_gets += 1;
+        let seq = self.nbget_issued[node.idx()];
+        self.nbget_issued[node.idx()] += 1;
+        NbGet::Pending { node, seq, len }
     }
 
     /// Complete a non-blocking get, returning the data.
@@ -911,8 +893,8 @@ impl Armci {
     // ------------------------------------------------------------------
 
     /// Blocking read-modify-write; returns the two result words (second is
-    /// zero for single-word ops). Local targets are executed directly;
-    /// remote ones round-trip through the server.
+    /// zero for single-word ops). Node-local and shm-mapped targets are
+    /// executed in place; the rest round-trip through the server.
     pub fn rmw(&mut self, dst: GlobalAddr, op: RmwOp) -> [u64; 2] {
         unwrap_op(self.try_rmw(dst, op))
     }
@@ -920,26 +902,20 @@ impl Armci {
     /// Fallible [`Armci::rmw`]: a dead target node or an expired deadline
     /// becomes an [`ArmciError`] instead of a hang.
     pub fn try_rmw(&mut self, dst: GlobalAddr, op: RmwOp) -> Result<[u64; 2], ArmciError> {
-        if self.is_local(dst.proc) {
-            self.stats.local_rmws += 1;
-            Ok(apply_rmw(&self.seg_of(dst), dst.offset, op))
-        } else {
-            // Single-word rmws are plain `AtomicU64` operations, safe
-            // across independent mappings of the same page. Pair ops are
-            // serialized by process-local stripe locks, so they must keep
-            // round-tripping through the owner's server.
-            if !op.is_pair() {
-                if let Some(s) = self.shm_route(dst.proc, dst.seg) {
-                    self.stats.shm_rmws += 1;
-                    return Ok(apply_rmw(&s, dst.offset, op));
-                }
+        let route = if op.is_pair() { self.pair_route(dst.proc, dst.seg) } else { self.route(dst.proc, dst.seg) };
+        match route {
+            Route::Direct(s, via) => {
+                self.stats.direct_rmw(via);
+                Ok(apply_rmw(&s, dst.offset, op))
             }
-            let agent = self.sync_agent(self.server_of(dst.proc));
-            self.send_req_to(agent, &Req::Rmw { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, op });
-            self.stats.remote_rmws += 1;
-            let m = self.recv_reply("rmw", agent, TAG_RMW_REPLY)?;
-            let mut r = Reader::new(&m.body);
-            Ok([r.u64(), r.u64()])
+            Route::Wire(node) => {
+                let agent = self.sync_agent(node);
+                self.send_req_to(agent, &Req::Rmw { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, op });
+                self.stats.remote_rmws += 1;
+                let m = self.recv_reply("rmw", agent, TAG_RMW_REPLY)?;
+                let mut r = Reader::new(&m.body);
+                Ok([r.u64(), r.u64()])
+            }
         }
     }
 
@@ -1030,14 +1006,9 @@ impl Armci {
     /// a destination node whose connection is already known dead (same
     /// issue-time contract as [`Armci::try_put`]).
     pub fn try_put_notify(&mut self, dst: GlobalAddr, data: &[u8], slot: u32) -> Result<(), ArmciError> {
-        if !self.is_local(dst.proc) && self.shm_route(dst.proc, dst.seg).is_none() {
-            let node = self.server_of(dst.proc);
-            if self.mb.peer_is_lost(node) {
-                let epoch = self.observe_loss(node);
-                return Err(ArmciError::PeerLost { peer: node, epoch });
-            }
-        }
-        self.put_notify(dst, data, slot);
+        let route = self.notify_route(dst.proc, dst.seg);
+        self.refuse_lost(&route)?;
+        self.put_notify_on(route, dst.proc, dst.seg, &[(dst.offset as u64, data.len() as u32)], data, slot);
         Ok(())
     }
 
@@ -1048,6 +1019,28 @@ impl Armci {
     /// [`crate::plan::TransferPlan`] aggregate many small puts under one
     /// notification.
     pub fn put_notify_v(&mut self, dst: ProcId, seg: SegId, runs: &[(u64, u32)], data: &[u8], slot: u32) {
+        self.put_notify_on(self.notify_route(dst, seg), dst, seg, runs, data, slot);
+    }
+
+    /// Route a notified put: direct only when both the data segment and
+    /// the sync segment (home of the notification counter) are, so data
+    /// and notification always stay one operation.
+    fn notify_route(&self, dst: ProcId, seg: SegId) -> Route<(Arc<Segment>, Arc<Segment>)> {
+        match (self.route(dst, seg), self.route(dst, SegId(0))) {
+            (Route::Direct(s, via), Route::Direct(sync, _)) => Route::Direct((s, sync), via),
+            (Route::Wire(node), _) | (_, Route::Wire(node)) => Route::Wire(node),
+        }
+    }
+
+    fn put_notify_on(
+        &mut self,
+        route: Route<(Arc<Segment>, Arc<Segment>)>,
+        dst: ProcId,
+        seg: SegId,
+        runs: &[(u64, u32)],
+        data: &[u8],
+        slot: u32,
+    ) {
         let total: usize = runs.iter().map(|&(_, l)| l as usize).sum();
         assert_eq!(data.len(), total, "payload does not match run list");
         assert!(slot < layout::NOTIFY_SLOTS, "notify slot {slot} out of range");
@@ -1056,43 +1049,20 @@ impl Armci {
         let mut acts = Vec::new();
         self.notify.poll(NotifyEvent::Issue { dst: dst.idx(), slot }, &mut acts);
         debug_assert!(matches!(acts.as_slice(), [NotifyAction::Send { .. }]));
-        let notify_at = layout::notify_slot(self.locks_per_proc, self.nprocs() as u32, slot);
-        // A direct route must cover *both* the data segment and the sync
-        // segment (the notification counter lives in the latter); anything
-        // less rides the wire so data and notification stay one operation.
-        let direct = if self.is_local(dst) {
-            self.stats.local_puts += 1;
-            Some((self.registry.lookup(dst, seg), self.registry.lookup(dst, SegId(0))))
-        } else {
-            match (self.shm_route(dst, seg), self.shm_route(dst, SegId(0))) {
-                (Some(s), Some(sync)) => {
-                    // Zero-wire fast path: the data store and the
-                    // notification bump are both direct stores into the
-                    // peer's mapped segments.
-                    self.stats.shm_puts += 1;
-                    Some((s, sync))
-                }
-                _ => None,
-            }
-        };
-        match direct {
-            Some((s, sync)) => {
-                let mut pos = 0usize;
-                for &(off, len) in runs {
-                    s.write_bytes(off as usize, &data[pos..pos + len as usize]);
-                    pos += len as usize;
-                }
+        match route {
+            Route::Direct((s, sync), via) => {
+                apply::write_runs(&s, runs.iter().copied(), data);
                 // Bump strictly after the data, mirroring the server's
                 // completion-site order: a consumer observing the counter
                 // sees the payload.
-                sync.fetch_add_u64(notify_at, 1);
+                sync.fetch_add_u64(layout::notify_slot(self.locks_per_proc, self.nprocs() as u32, slot), 1);
+                self.stats.direct_put(via);
             }
-            None => {
-                let node = self.server_of(dst);
+            Route::Wire(node) => {
                 self.send_req_framed(Endpoint::Server(node), |buf| enc::put_notify(buf, dst, seg, slot, runs, data));
                 // A notified put is a counted put: it feeds the same
                 // ledger fences and barriers drain.
-                self.note_counted_put(dst);
+                self.note_counted_put(dst, node, false);
             }
         }
     }
@@ -1207,7 +1177,7 @@ impl Armci {
                 let targets = self.fence.confirm_targets(node.idx());
                 let mut pending = Vec::with_capacity(2);
                 if targets.server {
-                    self.send_req(node, &Req::FenceReq);
+                    self.send_req_to(Endpoint::Server(node), &Req::FenceReq);
                     self.stats.fence_roundtrips += 1;
                     pending.push(Endpoint::Server(node));
                 }

@@ -35,7 +35,7 @@ use armci_proto::{
 };
 use armci_transport::{NodeId, ProcId, SegId, Segment};
 
-use crate::armci::{unwrap_op, Armci};
+use crate::armci::{unwrap_op, Armci, Route};
 use crate::config::{AckMode, OnPeerLoss};
 use crate::errors::ArmciError;
 use crate::layout;
@@ -194,7 +194,7 @@ impl Armci {
     fn form_hier(&mut self, g: &Group, me_g: usize) -> HierState {
         let leader0 = ProcId(g.world_rank(0) as u32);
         // Can I reach group-rank 0's sync segment without the wire?
-        let reach0 = self.is_local(leader0) || self.shm_route(leader0, SegId(0)).is_some();
+        let reach0 = matches!(self.route(leader0, SegId(0)), Route::Direct(..));
         let bits = g.allgather(self, vec![reach0 as u8]);
 
         // Domain 0: members memory-adjacent to rank 0 (rank 0's own bit is
@@ -234,12 +234,8 @@ impl Armci {
             let leader_g = domains[my_dom][0];
             let slot = u32::from(slots[leader_g][0].checked_sub(1).expect("domain leader claimed no counter slot"));
             let lw = ProcId(g.world_rank(leader_g) as u32);
-            let seg = if i_lead {
-                self.my_sync.clone()
-            } else if self.is_local(lw) {
-                self.registry.lookup(lw, SegId(0))
-            } else {
-                self.shm_route(lw, SegId(0)).expect("domain member lost its shm route to the leader")
+            let Route::Direct(seg, _) = self.route(lw, SegId(0)) else {
+                panic!("domain member lost its shm route to the leader")
             };
             DomainCounters {
                 seg,

@@ -39,6 +39,7 @@
 //! assert_eq!(results, vec![3, 0, 1, 2]);
 //! ```
 
+pub(crate) mod apply;
 pub mod armci;
 pub mod chaos;
 pub mod config;

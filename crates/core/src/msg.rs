@@ -497,7 +497,7 @@ impl<'a> RunsView<'a> {
     }
 
     /// Iterate the `(offset, len)` records.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + 'a {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + Clone + 'a {
         self.raw.chunks_exact(RUN_RECORD_BYTES).map(|rec| {
             (u64::from_le_bytes(rec[..8].try_into().unwrap()), u32::from_le_bytes(rec[8..].try_into().unwrap()))
         })
@@ -759,16 +759,22 @@ impl<'a> ReqView<'a> {
 
     /// Same classification as [`Req::is_counted_put`].
     pub fn is_counted_put(&self) -> bool {
-        matches!(
-            self,
-            ReqView::Put { .. }
-                | ReqView::PutStrided { .. }
-                | ReqView::PutU64 { .. }
-                | ReqView::PutPair { .. }
-                | ReqView::PutVector { .. }
-                | ReqView::PutNotify { .. }
-                | ReqView::AccF64 { .. }
-        )
+        self.counted_dst().is_some()
+    }
+
+    /// The process whose completion counters a server bumps once this
+    /// counted put is applied; `None` for requests a fence does not cover.
+    pub fn counted_dst(&self) -> Option<ProcId> {
+        match *self {
+            ReqView::Put { dst, .. }
+            | ReqView::PutStrided { dst, .. }
+            | ReqView::PutU64 { dst, .. }
+            | ReqView::PutPair { dst, .. }
+            | ReqView::PutVector { dst, .. }
+            | ReqView::PutNotify { dst, .. }
+            | ReqView::AccF64 { dst, .. } => Some(dst),
+            _ => None,
+        }
     }
 
     /// Same accessor as [`Req::notify_slot`].

@@ -11,31 +11,18 @@
 //! them until their ticket comes up, and processes every unlock (local or
 //! remote), incrementing the `counter` word and granting the head waiter.
 
+use std::iter::once;
 use std::sync::Arc;
 
 use armci_msglib::Reader;
 use armci_proto::{completion_sites, CompletionSite, HybridHome};
-use armci_transport::{Body, BodyPool, Endpoint, Mailbox, MemoryRegistry, ProcId, SegId, Segment};
+use armci_transport::{Body, BodyPool, Endpoint, Mailbox, MemoryRegistry, ProcId, SegId};
 
+use crate::apply;
 use crate::armci::encode_rmw_reply;
 use crate::config::AckMode;
 use crate::layout;
-use crate::msg::{ReqView, RmwOp, TAG_FENCE_ACK, TAG_GET_REPLY, TAG_LOCK_GRANT, TAG_PUT_ACK, TAG_RMW_REPLY};
-
-/// Apply a read-modify-write to a segment; returns the two result words
-/// (second zero for single-word ops). Shared by the server (remote RMWs)
-/// and by [`crate::Armci::rmw`]'s node-local fast path, so both paths have
-/// identical semantics by construction.
-pub(crate) fn apply_rmw(seg: &Segment, offset: usize, op: RmwOp) -> [u64; 2] {
-    match op {
-        RmwOp::FetchAddU64(v) => [seg.fetch_add_u64(offset, v), 0],
-        RmwOp::FetchAddI64(v) => [seg.fetch_add_i64(offset, v) as u64, 0],
-        RmwOp::SwapU64(v) => [seg.swap_u64(offset, v), 0],
-        RmwOp::CasU64 { expect, new } => [seg.compare_swap_u64(offset, expect, new), 0],
-        RmwOp::PairSwap(p) => seg.pair_swap(offset, p),
-        RmwOp::PairCas { expect, new } => seg.pair_compare_swap(offset, expect, new),
-    }
-}
+use crate::msg::{ReqView, TAG_FENCE_ACK, TAG_GET_REPLY, TAG_LOCK_GRANT, TAG_PUT_ACK, TAG_RMW_REPLY};
 
 /// Run a node's service-agent loop until a `Shutdown` request arrives.
 /// The same loop drives both the host **server thread** and, in
@@ -64,7 +51,7 @@ pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mo
         // copy (the tentpole zero-copy path).
         let req = ReqView::decode(&m.body);
         debug_assert!(
-            !req.is_counted_put() || !matches!(src, Endpoint::Proc(p) if registry_is_local(&mb, p)),
+            !req.is_counted_put() || !matches!(src, Endpoint::Proc(p) if mb.topology().node_of(p) == my_node),
             "node-local processes must use shared memory, not the server"
         );
 
@@ -72,28 +59,14 @@ pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mo
         // the deposit is applied (the plan comes from the unified
         // completion module, shared with the initiator-side ledger), and
         // acknowledge in VIA mode.
-        let counted_dst = match &req {
-            ReqView::Put { dst, .. }
-            | ReqView::PutStrided { dst, .. }
-            | ReqView::PutU64 { dst, .. }
-            | ReqView::PutPair { dst, .. }
-            | ReqView::PutVector { dst, .. }
-            | ReqView::PutNotify { dst, .. }
-            | ReqView::AccF64 { dst, .. } => Some((*dst, req.notify_slot())),
-            _ => None,
-        };
+        let counted = req.counted_dst().map(|dst| (dst, req.notify_slot()));
 
         match req {
             ReqView::Put { dst, seg, offset, data } => {
                 registry.lookup(dst, seg).write_bytes(offset as usize, data);
             }
             ReqView::PutStrided { dst, seg, desc, data } => {
-                let s = registry.lookup(dst, seg);
-                desc.validate(s.len());
-                debug_assert_eq!(data.len(), desc.total_bytes());
-                for (row, off) in desc.row_offsets().enumerate() {
-                    s.write_bytes(off, &data[row * desc.row_bytes..(row + 1) * desc.row_bytes]);
-                }
+                apply::write_strided(&registry.lookup(dst, seg), &desc, data);
             }
             ReqView::PutU64 { dst, seg, offset, val } => {
                 registry.lookup(dst, seg).write_u64(offset as usize, val);
@@ -102,66 +75,32 @@ pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mo
                 registry.lookup(dst, seg).pair_swap(offset as usize, val);
             }
             ReqView::AccF64 { dst, seg, offset, scale, vals } => {
-                let s = registry.lookup(dst, seg);
-                for (i, v) in vals.iter().enumerate() {
-                    s.fetch_add_f64(offset as usize + 8 * i, scale * v);
-                }
+                apply::acc_f64(&registry.lookup(dst, seg), offset as usize, scale, vals.iter());
             }
-            ReqView::PutVector { dst, seg, runs, data } => {
-                let s = registry.lookup(dst, seg);
-                let mut pos = 0usize;
-                for (off, len) in runs.iter() {
-                    s.write_bytes(off as usize, &data[pos..pos + len as usize]);
-                    pos += len as usize;
-                }
-                debug_assert_eq!(pos, data.len());
-            }
-            ReqView::PutNotify { dst, seg, runs, data, .. } => {
-                // Data exactly like PutVector; the notification bump rides
-                // in the counted-put accounting below, *after* the data is
-                // applied — a consumer observing the counter sees the data.
-                let s = registry.lookup(dst, seg);
-                let mut pos = 0usize;
-                for (off, len) in runs.iter() {
-                    s.write_bytes(off as usize, &data[pos..pos + len as usize]);
-                    pos += len as usize;
-                }
-                debug_assert_eq!(pos, data.len());
+            // A notified put's data lands exactly like a vector put's; the
+            // notification bump rides in the counted-put accounting below,
+            // *after* the data is applied — a consumer observing the
+            // counter sees the data.
+            ReqView::PutVector { dst, seg, runs, data } | ReqView::PutNotify { dst, seg, runs, data, .. } => {
+                apply::write_runs(&registry.lookup(dst, seg), runs.iter(), data);
             }
             ReqView::GetVector { dst, seg, runs } => {
                 let s = registry.lookup(dst, seg);
-                let total: usize = runs.iter().map(|(_, l)| l as usize).sum();
-                let out = reply_pool.with_buf(|buf| {
-                    buf.resize(total, 0);
-                    let mut pos = 0usize;
-                    for (off, len) in runs.iter() {
-                        s.read_bytes(off as usize, &mut buf[pos..pos + len as usize]);
-                        pos += len as usize;
-                    }
-                });
+                let out = reply_pool.with_buf(|buf| apply::read_runs(&s, runs.iter(), buf));
                 mb.send(src, TAG_GET_REPLY, out);
             }
             ReqView::Get { dst, seg, offset, len } => {
                 let s = registry.lookup(dst, seg);
-                let out = reply_pool.with_buf(|buf| {
-                    buf.resize(len as usize, 0);
-                    s.read_bytes(offset as usize, buf);
-                });
+                let out = reply_pool.with_buf(|buf| apply::read_runs(&s, once((offset, len)), buf));
                 mb.send(src, TAG_GET_REPLY, out);
             }
             ReqView::GetStrided { dst, seg, desc } => {
                 let s = registry.lookup(dst, seg);
-                desc.validate(s.len());
-                let out = reply_pool.with_buf(|buf| {
-                    buf.resize(desc.total_bytes(), 0);
-                    for (row, off) in desc.row_offsets().enumerate() {
-                        s.read_bytes(off, &mut buf[row * desc.row_bytes..(row + 1) * desc.row_bytes]);
-                    }
-                });
+                let out = reply_pool.with_buf(|buf| apply::read_strided(&s, &desc, buf));
                 mb.send(src, TAG_GET_REPLY, out);
             }
             ReqView::Rmw { dst, seg, offset, op } => {
-                let vals = apply_rmw(&registry.lookup(dst, seg), offset as usize, op);
+                let vals = apply::apply_rmw(&registry.lookup(dst, seg), offset as usize, op);
                 mb.send(src, TAG_RMW_REPLY, encode_rmw_reply(vals));
             }
             ReqView::FenceReq => {
@@ -190,7 +129,7 @@ pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mo
             ReqView::Shutdown => break,
         }
 
-        if let Some((dst, notify)) = counted_dst {
+        if let Some((dst, notify)) = counted {
             // The counters live at well-known offsets in the destination's
             // sync segment; which ones to bump — per-source op_from (group
             // barriers), aggregate op_done (ARMCI_Barrier stage 2), and a
@@ -229,11 +168,4 @@ fn send_grant(mb: &mut Mailbox, requester: ProcId, owner: ProcId, idx: u32) {
 pub(crate) fn decode_grant(body: &[u8]) -> (ProcId, u32) {
     let mut r = Reader::new(body);
     (ProcId(r.u32()), r.u32())
-}
-
-fn registry_is_local(mb: &Mailbox, p: ProcId) -> bool {
-    match mb.me() {
-        Endpoint::Server(n) | Endpoint::Nic(n) => mb.topology().node_of(p) == n,
-        Endpoint::Proc(_) => false,
-    }
 }

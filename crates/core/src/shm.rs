@@ -18,8 +18,8 @@
 //!   threads start, and the bounded missing-file retry in `map_peer`
 //!   absorbs the remaining bootstrap skew.
 //! - **Pair (128-bit) operations never route here**: their atomicity
-//!   comes from process-local stripe locks, so they stay on the owner's
-//!   server where they are serialized.
+//!   comes from process-local stripe locks, so `Armci::pair_route` keeps
+//!   them on the owner's server, where they are serialized.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;

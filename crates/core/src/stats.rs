@@ -5,6 +5,8 @@
 //! fence-and-barrier). These counters let tests assert those counts
 //! directly instead of relying on noisy wall-clock measurements.
 
+use crate::armci::Via;
+
 /// Counts of operations performed by one process since init.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct Stats {
@@ -55,6 +57,18 @@ impl Stats {
     /// Total messages this process has sent.
     pub fn total_msgs(&self) -> u64 {
         self.server_msgs + self.p2p_msgs
+    }
+
+    /// Count a put-class op, get or read-modify-write served directly
+    /// through memory: `via` picks the `local_*` or `shm_*` counter.
+    pub(crate) fn direct_put(&mut self, via: Via) {
+        *if via == Via::Local { &mut self.local_puts } else { &mut self.shm_puts } += 1;
+    }
+    pub(crate) fn direct_get(&mut self, via: Via) {
+        *if via == Via::Local { &mut self.local_gets } else { &mut self.shm_gets } += 1;
+    }
+    pub(crate) fn direct_rmw(&mut self, via: Via) {
+        *if via == Via::Local { &mut self.local_rmws } else { &mut self.shm_rmws } += 1;
     }
 }
 

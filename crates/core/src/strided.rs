@@ -44,13 +44,9 @@ impl Strided2D {
         self.offset + (self.rows - 1) * self.stride + self.row_bytes
     }
 
-    /// Validate the shape against a segment of `seg_len` bytes.
-    ///
-    /// # Panics
-    /// Panics on overlapping rows (`stride < row_bytes` with more than one
-    /// row) or out-of-bounds extent — both programming errors, as they
-    /// would have been in ARMCI.
-    pub fn validate(&self, seg_len: usize) {
+    /// Check the route-independent part of the shape, so callers can fail
+    /// before routing. Panics on overlapping rows (`stride < row_bytes`).
+    pub fn check_shape(&self) {
         if self.rows > 1 {
             assert!(
                 self.stride >= self.row_bytes,
@@ -59,6 +55,15 @@ impl Strided2D {
                 self.row_bytes
             );
         }
+    }
+
+    /// Validate the shape against a segment of `seg_len` bytes.
+    ///
+    /// # Panics
+    /// Panics on overlapping rows (see [`Strided2D::check_shape`]) or
+    /// out-of-bounds extent.
+    pub fn validate(&self, seg_len: usize) {
+        self.check_shape();
         assert!(self.end_offset() <= seg_len, "strided shape [{:?}] exceeds segment length {}", self, seg_len);
     }
 

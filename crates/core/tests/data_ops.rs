@@ -2,6 +2,9 @@
 //! strided), accumulate, and read-modify-write, across local and remote
 //! destinations and both ack modes.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
+
 use armci_core::Strided2D;
 use armci_core::{run_cluster, AckMode, ArmciCfg, ArmciCfg as Cfg, GlobalAddr, RmwOp};
 use armci_transport::{LatencyModel, ProcId};
@@ -106,6 +109,30 @@ fn strided_local_fast_path_matches_remote() {
         true
     });
     assert!(out.into_iter().all(|ok| ok));
+}
+
+/// Overlapping rows are a caller bug, so a strided transfer with that
+/// shape must panic in the calling rank whichever route it would take —
+/// here the wire — and never reach the target's server.
+#[test]
+fn overlapping_strided_shape_panics_in_caller_on_wire_route() {
+    let cfg = zero_lat(2).with_op_timeout(Duration::from_secs(2));
+    let out = run_cluster(cfg, |a| {
+        let seg = a.malloc(256);
+        let mut ok = true;
+        if a.rank() == 0 {
+            let bad = Strided2D { offset: 0, rows: 2, row_bytes: 8, stride: 4 };
+            let before = a.stats();
+            ok &= catch_unwind(AssertUnwindSafe(|| a.put_strided(ProcId(1), seg, bad, &[1u8; 16]))).is_err();
+            ok &= catch_unwind(AssertUnwindSafe(|| a.get_strided(ProcId(1), seg, bad))).is_err();
+            ok &= catch_unwind(AssertUnwindSafe(|| a.nbget_strided(ProcId(1), seg, bad))).is_err();
+            let after = a.stats();
+            ok &= (after.server_msgs, after.wire_msgs) == (before.server_msgs, before.wire_msgs);
+        }
+        a.barrier();
+        ok
+    });
+    assert_eq!(out, vec![true, true]);
 }
 
 #[test]
